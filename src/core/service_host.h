@@ -210,9 +210,15 @@ class ServiceHost {
     return accept_thread_.joinable() || reactor_engine_ != nullptr;
   }
 
-  /// Sessions currently being served (live session threads). The reaper
-  /// keeps this equal to the number of connected clients, so a test can
-  /// assert it returns to zero between clients.
+  /// Sessions accepted and not yet ended; rejected connects are not
+  /// counted. Under the reactor engine (the default) these are the
+  /// sessions a shard has accepted and not yet closed; under the
+  /// threaded engine, the live session threads. A connection still in
+  /// the kernel's listen backlog is not counted, so zero does not mean
+  /// that no client is connected: a test must first see its session
+  /// accepted (SnapshotStats().sessions_accepted) before it waits for
+  /// zero. Both engines count a session's outcome (sessions_ok or
+  /// sessions_failed) before they drop it from this count.
   size_t active_sessions() const PPSTATS_EXCLUDES(mu_);
 
   /// Live, race-free view of the host's counters: safe to call at any

@@ -100,6 +100,22 @@ bool WaitFor(const std::function<bool()>& pred,
   return pred();
 }
 
+// Waits until `n` sessions have been accepted and have ended, ok or
+// failed, and none is being served. A bare wait for active_sessions()
+// == 0 is not enough after a client that may fail before the host
+// accepts its connection: one still in the listen backlog is not
+// counted, so that wait can pass before the session exists. Both
+// engines count a session's outcome before they drop it from
+// active_sessions(), so this cannot pass before the n-th session ends.
+bool WaitForSessionsResolved(const ServiceHost& host, uint64_t n) {
+  return WaitFor([&] {
+    ServiceHost::Stats stats = host.SnapshotStats();
+    return stats.sessions_accepted >= n &&
+           stats.sessions_ok + stats.sessions_failed >= n &&
+           host.active_sessions() == 0;
+  });
+}
+
 size_t CountProcessThreads() {
   DIR* dir = ::opendir("/proc/self/task");
   if (dir == nullptr) return 0;
@@ -226,7 +242,8 @@ TEST_P(ServiceChaosTest, ClientSideFaultMatrix) {
       EXPECT_TRUE(IsTypedOutcome(status)) << status.ToString();
       EXPECT_EQ(injected.faults(), 1u);
       ++chaos_runs;
-      ASSERT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
+      // Each earlier scenario left a chaos and a clean session behind.
+      ASSERT_TRUE(WaitForSessionsResolved(host, 2 * chaos_runs - 1));
       ExpectCleanClientServed(path, 10000 + seed);
     }
   }
@@ -260,7 +277,7 @@ TEST_P(ServiceChaosTest, ServerSideFaultMatrix) {
 
       Status status = RunChaosClient(path, std::nullopt, seed);
       EXPECT_TRUE(IsTypedOutcome(status)) << status.ToString();
-      ASSERT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
+      ASSERT_TRUE(WaitForSessionsResolved(host, 1));
       EXPECT_TRUE(host.running());
       host.Stop();
       EXPECT_EQ(host.stats().sessions_accepted, 1u);
@@ -286,7 +303,7 @@ TEST_P(ServiceChaosTest, SixteenSeedRandomSweep) {
     faults.delay_ms = 30;  // shorter than the deadline: delays alone pass
     Status status = RunChaosClient(path, faults, s);
     EXPECT_TRUE(IsTypedOutcome(status)) << status.ToString();
-    ASSERT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
+    ASSERT_TRUE(WaitForSessionsResolved(host, s + 1));
   }
   ExpectCleanClientServed(path, 424242);
   EXPECT_TRUE(host.running());
@@ -379,8 +396,11 @@ TEST_P(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
   EXPECT_GT(ok_count, kClients / 2);
 
   // Zero leaked threads: the reaper returns the process to its
-  // pre-storm thread count without a Stop().
-  EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
+  // pre-storm thread count without a Stop(). A client that faulted on
+  // its hello may have ended before its session was accepted, so wait
+  // for the warm-up and all kClients sessions to resolve.
+  EXPECT_TRUE(
+      WaitForSessionsResolved(host, static_cast<uint64_t>(kClients) + 1));
   EXPECT_TRUE(WaitFor([&] { return CountProcessThreads() <= baseline; }));
   EXPECT_TRUE(host.running());
 

@@ -49,6 +49,24 @@ bool WaitFor(const std::function<bool()>& pred,
   return pred();
 }
 
+// Waits until `n` sessions have been accepted and have ended, ok or
+// failed, and none is being served. A bare wait for active_sessions()
+// == 0 is not enough: a connection still in the listen backlog is not
+// counted, so that wait can pass before the session under test exists.
+// Both engines count a session's outcome before they drop it from
+// active_sessions(), so this cannot pass before the n-th session ends.
+bool WaitForSessionsResolved(const ServiceHost& host, uint64_t n,
+                             milliseconds timeout) {
+  return WaitFor(
+      [&] {
+        ServiceHost::Stats stats = host.SnapshotStats();
+        return stats.sessions_accepted >= n &&
+               stats.sessions_ok + stats.sessions_failed >= n &&
+               host.active_sessions() == 0;
+      },
+      timeout);
+}
+
 const PaillierKeyPair& SharedKeyPair() {
   static const PaillierKeyPair* kp = [] {
     ChaCha20Rng rng(9090);
@@ -441,8 +459,7 @@ TEST(TransportBackpressureTest, CloseMidFlushDeadlineBoundsTeardown) {
   // Never read: the goodbye arrives, the session enters closing with a
   // backed-up outbox, and the flush deadline must evict it while the
   // socket stays open on our side.
-  EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; },
-                      seconds(10)))
+  EXPECT_TRUE(WaitForSessionsResolved(host, 1, seconds(10)))
       << "closing session was never evicted";
   ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, 1u);
@@ -472,8 +489,7 @@ TEST(TransportBackpressureTest, WriteDeadlineEvictsNeverDrainingPeer) {
   int fd = RawConnectUnix(path);
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(SendAll(fd, upload.blob));
-  EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; },
-                      seconds(10)))
+  EXPECT_TRUE(WaitForSessionsResolved(host, 1, seconds(10)))
       << "stalled session was never evicted";
   ServiceHost::Stats stats = host.stats();
   EXPECT_GE(stats.sessions_failed, 1u);
