@@ -1,9 +1,9 @@
 // Ablation: multi-session service throughput. The paper measures one
 // client against one server; a deployment serves many analysts at once.
-// This table drives the concurrent ServiceHost (accept thread + one
-// session thread per client, folds on the shared ThreadPool) with 1..8
-// simultaneous clients running mixed-kind queries over one connection
-// each, and reports aggregate queries/sec. Near-flat scaling up to the
+// This table drives the concurrent ServiceHost (either engine; folds on
+// the shared ThreadPool) with 1..8 simultaneous clients running
+// mixed-kind queries over one connection each, and reports aggregate
+// queries/sec. Near-flat scaling up to the
 // core count means session isolation adds no serialization beyond the
 // shared fold pool; each query's result is checked against plaintext.
 //
@@ -23,20 +23,8 @@
 // loopback), isolating what TCP framing/loopback costs against the same
 // workload.
 //
-// The reactor run appends a second table: 32 pipelining clients (all
-// request frames pre-encrypted and blasted without reading, responses
-// drained afterwards, decrypt deferred past the timer) against a server
-// with a minimal SO_SNDBUF, so the per-session outbox genuinely
-// accumulates frames. The axis compares the gathered-writev outbox
-// against one send() per frame on the identical byte stream.
-//
 // When PPSTATS_BENCH_JSON_DIR is set the fault-free tables are written
 // to <dir>/BENCH_ablation_service_host_<engine>.json.
-
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -48,10 +36,8 @@
 #include <vector>
 
 #include "bench/figlib.h"
-#include "core/messages.h"
 #include "core/selected_sum.h"
 #include "core/service_host.h"
-#include "crypto/key_io.h"
 #include "net/fault_injection.h"
 #include "net/socket_channel.h"
 #include "obs/export.h"
@@ -59,20 +45,6 @@
 namespace {
 
 int RunChaosMode(ppstats::ServiceEngine engine, const char* engine_name);
-
-/// One row of the 32-client outbox axis (reactor engine only).
-struct OutboxRow {
-  const char* outbox;
-  size_t clients;
-  size_t queries;
-  double wall_s;
-  double qps;
-  bool correct;
-  uint64_t writev_calls;
-  uint64_t writev_frames;
-};
-
-std::vector<OutboxRow> RunOutboxTable();
 
 }  // namespace
 
@@ -208,12 +180,6 @@ int main(int argc, char** argv) {
       "the cores\nsaturate, then flattens; tcp loopback tracks unix within "
       "framing overhead;\n'correct yes' on every row is the invariant.\n\n");
 
-  // The outbox flush axis only exists on the reactor engine (the
-  // threaded engine writes each frame synchronously from its session
-  // thread).
-  std::vector<OutboxRow> outbox_rows;
-  if (engine == ServiceEngine::kReactor) outbox_rows = RunOutboxTable();
-
   if (const char* dir = std::getenv("PPSTATS_BENCH_JSON_DIR")) {
     std::string json = "{\n";
     json += "  \"figure\": \"ablation_service_host\",\n";
@@ -232,25 +198,6 @@ int main(int argc, char** argv) {
       json += line;
     }
     json += "  ]";
-    if (!outbox_rows.empty()) {
-      json += ",\n  \"outbox32\": [\n";
-      for (size_t i = 0; i < outbox_rows.size(); ++i) {
-        char line[240];
-        std::snprintf(
-            line, sizeof(line),
-            "    {\"outbox\": \"%s\", \"clients\": %zu, \"queries\": %zu, "
-            "\"wall_s\": %.6f, \"qps\": %.2f, \"correct\": %s, "
-            "\"writev_calls\": %llu, \"writev_frames\": %llu}%s\n",
-            outbox_rows[i].outbox, outbox_rows[i].clients,
-            outbox_rows[i].queries, outbox_rows[i].wall_s, outbox_rows[i].qps,
-            outbox_rows[i].correct ? "true" : "false",
-            static_cast<unsigned long long>(outbox_rows[i].writev_calls),
-            static_cast<unsigned long long>(outbox_rows[i].writev_frames),
-            i + 1 < outbox_rows.size() ? "," : "");
-        json += line;
-      }
-      json += "  ]";
-    }
     json += "\n}\n";
     (void)obs::WriteFileAtomic(std::string(dir) +
                                    "/BENCH_ablation_service_host_" +
@@ -261,293 +208,6 @@ int main(int argc, char** argv) {
 }
 
 namespace {
-
-/// Appends `frame` with the wire's 4-byte big-endian length prefix
-/// (net/socket_channel framing), for pre-encoded pipelined uploads.
-void AppendFrame(ppstats::Bytes* out, const ppstats::Bytes& frame) {
-  const uint32_t len = static_cast<uint32_t>(frame.size());
-  out->push_back(static_cast<uint8_t>(len >> 24));
-  out->push_back(static_cast<uint8_t>(len >> 16));
-  out->push_back(static_cast<uint8_t>(len >> 8));
-  out->push_back(static_cast<uint8_t>(len));
-  out->insert(out->end(), frame.begin(), frame.end());
-}
-
-/// Reads the 4-byte big-endian length prefix at `off`.
-uint32_t FrameLenAt(const ppstats::Bytes& buf, size_t off) {
-  return (static_cast<uint32_t>(buf[off]) << 24) |
-         (static_cast<uint32_t>(buf[off + 1]) << 16) |
-         (static_cast<uint32_t>(buf[off + 2]) << 8) |
-         static_cast<uint32_t>(buf[off + 3]);
-}
-
-// 32 pipelining clients against a server with a minimal SO_SNDBUF, so
-// the per-session outbox genuinely holds multiple frames when the
-// reactor flushes. Each client's entire upload (hello + per-query
-// header and index chunk + goodbye) is encrypted and framed before the
-// timer starts, then blasted without reading; responses are drained
-// into stored frames during the timed phase and only decrypted and
-// checked afterwards. The identical byte stream runs against both
-// outbox modes, so the axis isolates gathered writev vs one send() per
-// frame on the server's flush path.
-std::vector<OutboxRow> RunOutboxTable() {
-  using namespace ppstats;
-  using namespace ppstats::bench;
-
-  const size_t kClients = 32;
-  const size_t kQueries = 160;  // response bytes must exceed the
-                                // ~9KB of combined kernel buffers
-  const size_t kRows = 16;
-
-  ChaCha20Rng rng(5100);
-  WorkloadGenerator gen(rng);
-  Database age("age", gen.UniformDatabase(kRows, 1000).values());
-  ColumnRegistry registry;
-  if (!registry.Register(age).ok()) {
-    std::printf("outbox registry setup failed\n");
-    return {};
-  }
-
-  // One shared key: the axis measures the server's flush path, not
-  // client-side crypto, and one keypair keeps the untimed prep cheap.
-  ChaCha20Rng key_rng(5200);
-  PaillierKeyPair key = Paillier::GenerateKeyPair(256, key_rng).ValueOrDie();
-  const PaillierPublicKey& pub = key.private_key.public_key();
-
-  std::vector<Bytes> uploads(kClients);
-  std::vector<std::vector<BigInt>> expected(kClients);
-  std::atomic<int> prep_failed{0};
-  {
-    std::vector<std::thread> prep;
-    for (size_t c = 0; c < kClients; ++c) {
-      prep.emplace_back([&, c] {
-        ChaCha20Rng client_rng(5300 + c);
-        WorkloadGenerator client_gen(client_rng);
-        ClientHelloMessage hello;
-        hello.protocol_version = kSessionProtocolVersion;
-        hello.public_key_blob = SerializePublicKey(pub);
-        AppendFrame(&uploads[c], hello.Encode());
-        for (size_t q = 0; q < kQueries; ++q) {
-          SelectionVector sel = client_gen.RandomSelection(kRows, kRows / 2);
-          expected[c].push_back(BigInt(age.SelectedSum(sel).ValueOrDie()));
-          QueryHeaderMessage header;
-          header.kind = static_cast<uint8_t>(StatisticKind::kSum);
-          AppendFrame(&uploads[c], header.Encode());
-          SumClient client(key.private_key, sel, {}, client_rng);
-          while (!client.RequestsDone()) {
-            Result<Bytes> request = client.NextRequest();
-            if (!request.ok()) {
-              ++prep_failed;
-              return;
-            }
-            AppendFrame(&uploads[c], *request);
-          }
-        }
-        AppendFrame(&uploads[c], GoodbyeMessage{}.Encode());
-      });
-    }
-    for (std::thread& t : prep) t.join();
-  }
-  if (prep_failed.load() != 0) {
-    std::printf("outbox upload prep failed\n");
-    return {};
-  }
-
-  std::printf("Outbox flush: %zu pipelining clients, %zu queries each, "
-              "server SO_SNDBUF=4096, engine=reactor (measured)\n",
-              kClients, kQueries);
-  std::printf("%10s %10s %12s %14s %12s %10s %14s %14s\n", "outbox", "clients",
-              "queries", "wall (s)", "queries/s", "correct", "writev calls",
-              "writev frames");
-
-  std::vector<OutboxRow> out;
-  const std::string path = "/tmp/ppstats_svc_outbox.sock";
-  bool failed = false;
-  // One timed run of one outbox mode against a fresh host.
-  auto run_trial = [&](bool writev) -> OutboxRow {
-    ServiceHostOptions options;
-    options.default_column = "age";
-    options.engine = ServiceEngine::kReactor;
-    options.reactor_threads = 2;
-    options.outbox_writev = writev;
-    options.so_sndbuf = 4096;
-    ServiceHost host(&registry, options);
-    if (!host.Start("unix:" + path).ok()) {
-      std::printf("outbox host start failed\n");
-      failed = true;
-      return {};
-    }
-
-    std::vector<std::vector<Bytes>> responses(kClients);
-    std::vector<int> fds(kClients, -1);
-    std::atomic<int> wrong{0};
-
-    // Fill phase (untimed): every client blasts its whole upload
-    // without reading a byte back.
-    std::vector<std::thread> senders;
-    for (size_t c = 0; c < kClients; ++c) {
-      senders.emplace_back([&, c] {
-        int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if (fd < 0) {
-          ++wrong;
-          return;
-        }
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                      path.c_str());
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) != 0) {
-          ::close(fd);
-          ++wrong;
-          return;
-        }
-        const Bytes& blob = uploads[c];
-        size_t sent = 0;
-        while (sent < blob.size()) {
-          ssize_t n = ::send(fd, blob.data() + sent, blob.size() - sent,
-                             MSG_NOSIGNAL);
-          if (n <= 0) {
-            ::close(fd);
-            ++wrong;
-            return;
-          }
-          sent += static_cast<size_t>(n);
-        }
-        fds[c] = fd;
-      });
-    }
-    for (std::thread& t : senders) t.join();
-    // With nobody reading, the server answers every query into the
-    // small SO_SNDBUF and queues the rest in each session's outbox;
-    // the sleep lets the folds finish so the timed phase below
-    // measures the flush path alone.
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-    // Drain phase (timed): clients read everything back in bulk (64KB
-    // recvs; frame boundaries only counted, decoding deferred), so the
-    // measured work is the server's flush path — its outboxes emptying
-    // through the tiny send buffer — not client-side per-frame reads.
-    std::vector<Bytes> raw(kClients);
-    Stopwatch timer;
-    std::vector<std::thread> drainers;
-    for (size_t c = 0; c < kClients; ++c) {
-      drainers.emplace_back([&, c] {
-        if (fds[c] < 0) return;
-        const int fd = fds[c];
-        timeval recv_timeout{30, 0};
-        (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
-                           sizeof(recv_timeout));
-        Bytes& buf = raw[c];
-        buf.reserve(64 * 1024);
-        // ServerHello, then per query QueryAccept + SumResponse.
-        const size_t want = 1 + 2 * kQueries;
-        size_t frames_seen = 0;
-        size_t scan = 0;
-        uint8_t chunk[65536];
-        while (frames_seen < want) {
-          ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-          if (n <= 0) {
-            ++wrong;
-            break;
-          }
-          buf.insert(buf.end(), chunk, chunk + n);
-          while (buf.size() - scan >= 4) {
-            const uint32_t len = FrameLenAt(buf, scan);
-            if (buf.size() - scan - 4 < len) break;
-            scan += 4 + len;
-            ++frames_seen;
-          }
-        }
-        ::close(fd);
-      });
-    }
-    for (std::thread& t : drainers) t.join();
-    double wall = timer.ElapsedSeconds();
-    host.Stop();
-
-    // Split the drained byte streams back into frames (untimed).
-    for (size_t c = 0; c < kClients; ++c) {
-      const Bytes& buf = raw[c];
-      responses[c].reserve(1 + 2 * kQueries);
-      size_t off = 0;
-      while (buf.size() - off >= 4) {
-        const uint32_t len = FrameLenAt(buf, off);
-        if (buf.size() - off - 4 < len) break;
-        responses[c].emplace_back(buf.begin() + off + 4,
-                                  buf.begin() + off + 4 + len);
-        off += 4 + len;
-      }
-    }
-    obs::MetricsSnapshot snapshot = host.SnapshotMetrics();
-    uint64_t writev_calls = snapshot.CounterValue("net.writev_calls");
-    uint64_t writev_frames = snapshot.CounterValue("net.writev_frames");
-
-    // Deferred verification: decode and decrypt outside the timer.
-    bool correct = wrong.load() == 0;
-    for (size_t c = 0; correct && c < kClients; ++c) {
-      const std::vector<Bytes>& frames = responses[c];
-      if (frames.size() != 1 + 2 * kQueries) {
-        correct = false;
-        break;
-      }
-      Result<ServerHelloMessage> hello = ServerHelloMessage::Decode(frames[0]);
-      if (!hello.ok() || hello->database_size != kRows) {
-        correct = false;
-        break;
-      }
-      for (size_t q = 0; q < kQueries; ++q) {
-        Result<QueryAcceptMessage> accept =
-            QueryAcceptMessage::Decode(frames[1 + 2 * q]);
-        Result<SumResponseMessage> response =
-            SumResponseMessage::Decode(pub, frames[2 + 2 * q]);
-        if (!accept.ok() || accept->rows != kRows || !response.ok()) {
-          correct = false;
-          break;
-        }
-        Result<BigInt> value = Paillier::Decrypt(key.private_key,
-                                                 response->sum);
-        if (!value.ok() || *value != expected[c][q]) {
-          correct = false;
-          break;
-        }
-      }
-    }
-
-    const char* mode = writev ? "writev" : "send";
-    size_t total = kClients * kQueries;
-    return OutboxRow{mode,         kClients, total,        wall,
-                     total / wall, correct,  writev_calls, writev_frames};
-  };
-
-  // The syscall savings under test are a few ms against ~15 ms of
-  // scheduler noise per trial, so each mode reports its best of three
-  // runs; an incorrect run disqualifies the mode outright.
-  const int kTrials = 3;
-  for (bool writev : {false, true}) {
-    OutboxRow best{};
-    for (int trial = 0; trial < kTrials; ++trial) {
-      OutboxRow row = run_trial(writev);
-      if (failed) return out;
-      if (trial == 0 || !row.correct ||
-          (best.correct && row.qps > best.qps)) {
-        best = row;
-      }
-      if (!row.correct) break;
-    }
-    std::printf("%10s %10zu %12zu %14.3f %12.2f %10s %14llu %14llu\n",
-                best.outbox, best.clients, best.queries, best.wall_s, best.qps,
-                best.correct ? "yes" : "NO",
-                static_cast<unsigned long long>(best.writev_calls),
-                static_cast<unsigned long long>(best.writev_frames));
-    out.push_back(best);
-  }
-  std::printf(
-      "\nexpected shape: both rows correct; the writev row matches or beats "
-      "send\n(fewer syscalls per flush) and its frame counter shows multiple "
-      "frames per\ngathered call.\n\n");
-  return out;
-}
 
 int RunChaosMode(ppstats::ServiceEngine engine, const char* engine_name) {
   using namespace ppstats;

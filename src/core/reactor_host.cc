@@ -21,10 +21,6 @@ namespace ppstats {
 
 namespace {
 
-/// Same values as the threaded engine (core/service_host.cc).
-constexpr uint32_t kMaxAcceptBackoffMs = 100;
-constexpr uint32_t kRejectWriteDeadlineMs = 100;
-
 /// Inbound frame size limit — matches WrapSocket's default, so both
 /// engines reject the same hostile length prefixes.
 constexpr size_t kMaxMessageBytes = size_t{1} << 28;
@@ -33,9 +29,8 @@ constexpr size_t kMaxMessageBytes = size_t{1} << 28;
 /// (edge-triggered contract), this only bounds one copy.
 constexpr size_t kReadChunkBytes = 64 * 1024;
 
-/// Frames gathered into one sendmsg() when the writev outbox is on.
-/// Well under IOV_MAX; one batch per syscall, re-gathered after partial
-/// writes.
+/// Frames gathered into one sendmsg(). Well under IOV_MAX; one batch
+/// per syscall, re-gathered after partial writes.
 constexpr size_t kWritevBatchFrames = 64;
 
 }  // namespace
@@ -98,6 +93,34 @@ struct ReactorEngine::SessionState {
   bool closing = false;  ///< terminal: flush the outbox, then close
   bool closed = false;
 };
+
+Bytes OverCapacityErrorFrame() {
+  return EncodeErrorFrame(
+      Status::ResourceExhausted("server at capacity; retry later"));
+}
+
+ServerSessionOptions NewSessionOptions(const ServiceHostOptions& options,
+                                       const Database* default_column,
+                                       PublicKeyCache* key_cache,
+                                       obs::MetricRegistry* metric_registry,
+                                       obs::Counter* queries_counter,
+                                       obs::Counter* compute_ns_counter) {
+  ServerSessionOptions session_options;
+  session_options.default_column = default_column;
+  session_options.worker_threads = options.worker_threads;
+  session_options.key_cache = key_cache;
+  session_options.registry = metric_registry;
+  // The session bumps these itself, before each query's response frame
+  // is sent — that is what keeps SnapshotStats() live instead of
+  // stale-until-Stop.
+  session_options.queries_counter = queries_counter;
+  session_options.compute_ns_counter = compute_ns_counter;
+  session_options.shard_blind = options.shard_blind;
+  if (options.router_factory != nullptr) {
+    session_options.router = options.router_factory();
+  }
+  return session_options;
+}
 
 ReactorEngine::ReactorEngine(const ColumnRegistry* registry,
                              const Database* default_column,
@@ -306,19 +329,12 @@ void ReactorEngine::OpenSession(size_t shard, int fd, bool reject) {
     counters_.active->Set(
         static_cast<int64_t>(serving_count_.load(std::memory_order_acquire)));
 
-    ServerSessionOptions session_options;
-    session_options.default_column = default_column_;
-    session_options.worker_threads = options_.worker_threads;
-    session_options.key_cache = key_cache_;
-    session_options.registry = metric_registry_;
-    session_options.queries_counter = counters_.queries;
-    session_options.compute_ns_counter = counters_.compute_ns;
-    session_options.shard_blind = options_.shard_blind;
-    if (options_.router_factory != nullptr) {
-      session_options.router = options_.router_factory();
-    }
     session->fsm = std::make_unique<ServerProtocolFsm>(
-        registry_, session_options, session->id + 1);
+        registry_,
+        NewSessionOptions(options_, default_column_, key_cache_,
+                          metric_registry_, counters_.queries,
+                          counters_.compute_ns),
+        session->id + 1);
     if (options_.fault_injection.has_value()) {
       session->fault_rng =
           std::make_unique<ChaCha20Rng>(options_.fault_seed + session->id);
@@ -605,33 +621,26 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
       }
       break;  // later frames must not overtake the delayed one
     }
-    ssize_t n;
-    if (options_.outbox_writev) {
-      // Gather every flushable frame behind the head into one
-      // sendmsg(): the batch stops at a delay barrier or disconnect
-      // marker, which later frames must not overtake.
-      struct iovec iov[kWritevBatchFrames];
-      size_t iov_count = 0;
-      for (const OutFrame& f : s->outbox) {
-        if (iov_count == kWritevBatchFrames || f.disconnect || f.delay_ms > 0) {
-          break;
-        }
-        const size_t off = iov_count == 0 ? s->wire_off : 0;
-        iov[iov_count].iov_base =
-            const_cast<uint8_t*>(f.wire.data() + off);
-        iov[iov_count].iov_len = f.wire.size() - off;
-        ++iov_count;
+    // Gather every flushable frame behind the head into one sendmsg():
+    // the batch stops at a delay barrier or disconnect marker, which
+    // later frames must not overtake.
+    struct iovec iov[kWritevBatchFrames];
+    size_t iov_count = 0;
+    for (const OutFrame& f : s->outbox) {
+      if (iov_count == kWritevBatchFrames || f.disconnect || f.delay_ms > 0) {
+        break;
       }
-      struct msghdr msg = {};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = iov_count;
-      n = ::sendmsg(s->fd, &msg, MSG_NOSIGNAL);
-      if (n >= 0) writev_calls_->Increment();
-    } else {
-      n = ::send(s->fd, head.wire.data() + s->wire_off,
-                 head.wire.size() - s->wire_off, MSG_NOSIGNAL);
+      const size_t off = iov_count == 0 ? s->wire_off : 0;
+      iov[iov_count].iov_base = const_cast<uint8_t*>(f.wire.data() + off);
+      iov[iov_count].iov_len = f.wire.size() - off;
+      ++iov_count;
     }
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iov_count;
+    const ssize_t n = ::sendmsg(s->fd, &msg, MSG_NOSIGNAL);
     if (n >= 0) {
+      writev_calls_->Increment();
       // Advance across the batch: whole frames pop (a gathered call can
       // complete several at once), a partial tail resumes at wire_off.
       size_t sent = static_cast<size_t>(n);
@@ -646,7 +655,7 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
         ChannelMetrics& metrics = ChannelMetrics::Get();
         metrics.frames_sent->Increment();
         metrics.bytes_sent->Add(front.wire.size());
-        if (options_.outbox_writev) writev_frames_->Increment();
+        writev_frames_->Increment();
         s->wire_off = 0;
         s->outbox.pop_front();
       } while (sent > 0 && !s->outbox.empty());
@@ -658,8 +667,8 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
       ArmWriteTimer(shard, s);
       return;
     }
-    // Same "send failed" prefix on both paths, for parity with the
-    // threaded engine's SocketChannel::Send.
+    // The "send failed" prefix matches the threaded engine's
+    // SocketChannel::Send.
     HandleSendFailure(
         shard, s, ErrnoStatus(StatusCode::kProtocolError, "send failed", errno));
     return;
@@ -734,11 +743,7 @@ void ReactorEngine::BeginReject(size_t shard,
   CancelSessionTimer(shard, s->reject_timer);
   // The rejection frame bypasses fault injection, like the threaded
   // engine's RejectOverCapacity writing to the raw accepted channel.
-  AppendOutbound(
-      s,
-      EncodeErrorFrame(
-          Status::ResourceExhausted("server at capacity; retry later")),
-      /*faultable=*/false);
+  AppendOutbound(s, OverCapacityErrorFrame(), /*faultable=*/false);
   s->closing = true;
   Flush(shard, s);
   // Closing sessions get their flush bound here (ArmWriteTimer refuses
@@ -819,7 +824,7 @@ void ReactorEngine::FinalizeSession(size_t shard,
   shards_[shard].sessions.erase(s->fd);
 
   if (s->mode == SessionState::Mode::kServing) {
-    // Same outcome mapping as the threaded ServeOne: the FSM's own
+    // Same outcome mapping as ServerSession::Serve: the FSM's own
     // abort status wins; a send-path failure only surfaces when the
     // protocol itself ended cleanly.
     Status status = s->fsm->final_status();

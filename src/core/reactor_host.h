@@ -23,9 +23,10 @@
 // host hold thousands of idle or slow sessions with a flat thread
 // count.
 //
-// Parity with the threaded engine (core/service_host.cc) is a hard
-// requirement — same Error frames, same counters, same eviction and
-// rejection behavior:
+// Both engines drive the same ServerProtocolFsm, so their Error frames
+// match by construction. Parity with the threaded engine
+// (core/service_host.cc) in everything around it is a hard requirement
+// — same counters, same eviction and rejection behavior:
 //  * io_deadline_ms is a whole-frame deadline. The read timer arms when
 //    the host starts waiting for a frame and is cancelled only by a
 //    complete frame, so a client trickling single bytes (Slowloris)
@@ -59,6 +60,31 @@
 #include "obs/metrics.h"
 
 namespace ppstats {
+
+// Shared by both engines; the threaded one lives in core/service_host.cc.
+
+/// Cap on the accept-failure backoff. Transient fd exhaustion usually
+/// clears in milliseconds; anything longer and the host should still
+/// probe regularly rather than sleep through recovery.
+inline constexpr uint32_t kMaxAcceptBackoffMs = 100;
+
+/// Write deadline for the over-capacity Error frame: the frame is tiny
+/// and the socket buffer empty, so this only guards against a client
+/// that connects and immediately stops reading.
+inline constexpr uint32_t kRejectWriteDeadlineMs = 100;
+
+/// The ResourceExhausted Error frame an over-capacity connect receives.
+Bytes OverCapacityErrorFrame();
+
+/// Options for one newly accepted session: the host's fold and blinding
+/// settings, its key cache, metric registry and live counters, and a
+/// fresh router when the host has a router_factory.
+ServerSessionOptions NewSessionOptions(const ServiceHostOptions& options,
+                                       const Database* default_column,
+                                       PublicKeyCache* key_cache,
+                                       obs::MetricRegistry* metric_registry,
+                                       obs::Counter* queries_counter,
+                                       obs::Counter* compute_ns_counter);
 
 /// See the file comment. Owned by ServiceHost; one engine per Start().
 class ReactorEngine {

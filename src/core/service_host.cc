@@ -5,27 +5,12 @@
 #include <memory>
 #include <utility>
 
-#include "core/messages.h"
 #include "core/reactor_host.h"
 #include "crypto/chacha20_rng.h"
 #include "obs/export.h"
 #include "obs/span.h"
 
 namespace ppstats {
-
-namespace {
-
-/// Cap on the accept-failure backoff. Transient fd exhaustion usually
-/// clears in milliseconds; anything longer and we still want the host
-/// probing regularly rather than sleeping through recovery.
-constexpr uint32_t kMaxAcceptBackoffMs = 100;
-
-/// Write deadline for the over-capacity Error frame: the frame is tiny
-/// and the socket buffer empty, so this only guards against a client
-/// that connects and immediately stops reading.
-constexpr uint32_t kRejectWriteDeadlineMs = 100;
-
-}  // namespace
 
 ServiceHost::ServiceHost(const ColumnRegistry* registry,
                          ServiceHostOptions options)
@@ -306,38 +291,15 @@ void ServiceHost::RejectOverCapacity(std::unique_ptr<Channel> channel) {
   // never races its hello against our close: it always gets to read the
   // Error frame instead of dying on a broken pipe mid-send.
   channel->Receive().IgnoreError();
-  ErrorMessage msg;
-  msg.code = static_cast<uint8_t>(StatusCode::kResourceExhausted);
-  msg.reason = "server at capacity; retry later";
-  channel->Send(msg.Encode()).IgnoreError();  // best effort; then close
+  channel->Send(OverCapacityErrorFrame()).IgnoreError();  // best effort
 }
 
 void ServiceHost::ServeOne(Channel& channel) {
-  ServerSessionOptions session_options;
-  session_options.default_column = default_column_;
-  session_options.worker_threads = options_.worker_threads;
-  session_options.key_cache = &key_cache_;
-  session_options.registry = &metric_registry_;
-  // The session bumps these itself, before each query's response frame
-  // is sent — that is what keeps SnapshotStats() live instead of
-  // stale-until-Stop.
-  session_options.queries_counter = queries_served_;
-  session_options.compute_ns_counter = compute_ns_;
-  session_options.shard_blind = options_.shard_blind;
-  if (options_.router_factory != nullptr) {
-    session_options.router = options_.router_factory();
-  }
-  ServerSession session(registry_, session_options);
+  ServerSession session(
+      registry_, NewSessionOptions(options_, default_column_, &key_cache_,
+                                   &metric_registry_, queries_served_,
+                                   compute_ns_));
   Status status = session.Serve(channel);
-  if (status.code() == StatusCode::kDeadlineExceeded) {
-    // The client stalled past the I/O deadline. Tell it why it is being
-    // evicted (best effort — it may well be gone).
-    ErrorMessage msg;
-    msg.code = static_cast<uint8_t>(StatusCode::kDeadlineExceeded);
-    msg.reason = "session i/o deadline exceeded";
-    channel.Send(msg.Encode()).IgnoreError();
-  }
-
   if (status.ok()) {
     sessions_ok_->Increment();
   } else {

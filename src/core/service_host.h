@@ -1,24 +1,31 @@
-// ServiceHost: a concurrent multi-session server over AF_UNIX sockets.
+// ServiceHost: a concurrent multi-session server on a unix or tcp
+// endpoint.
 //
-// One accept-loop thread hands each incoming connection to its own
-// session thread (sessions do blocking channel I/O); the homomorphic
-// folds inside every session share the process-wide ThreadPool via
-// SumServer's worker_threads, so CPU parallelism is bounded regardless
-// of how many clients connect. Client public keys are deserialized
-// through one shared PublicKeyCache, so repeat sessions from the same
-// client skip the Montgomery-context rebuild.
+// Every session runs the one server protocol, ServerProtocolFsm
+// (core/session_fsm.h); the host picks the transport that drives it.
+// The default engine is the reactor (core/reactor_host.h): a fixed set
+// of event-loop threads owns every socket non-blocking and flushes each
+// session's outbox with gathered sendmsg() calls, so the thread count
+// stays flat in the client count. The threaded engine gives each
+// connection its own thread running the blocking ServerSession::Serve.
+// Under either engine the homomorphic folds share the process-wide
+// ThreadPool, so CPU parallelism is bounded regardless of how many
+// clients connect, and client public keys are deserialized through one
+// shared PublicKeyCache, so repeat sessions from the same client skip
+// the Montgomery-context rebuild.
 //
 // Robustness layer (the daemon must survive slow, crashing, and
 // malformed clients):
 //  * Per-session I/O deadlines (io_deadline_ms) evict a client that
-//    stalls mid-protocol instead of pinning its session thread forever.
-//  * A session reaper joins finished session threads promptly, so a
-//    long-running daemon's thread count returns to baseline between
-//    clients instead of accumulating handles until Stop().
+//    stalls mid-protocol instead of pinning its session forever.
+//  * Threaded engine: a session reaper joins finished session threads
+//    promptly, so a long-running daemon's thread count returns to
+//    baseline between clients instead of accumulating handles until
+//    Stop().
 //  * max_sessions caps concurrency; over-limit connects are answered
 //    with a ResourceExhausted Error frame and closed, which clients
 //    treat as retryable (net/retry.h).
-//  * The accept loop survives transient accept() failures (fd
+//  * Accepting survives transient accept() failures (fd
 //    exhaustion, memory pressure) with capped backoff; only listener
 //    shutdown stops it.
 //
@@ -31,8 +38,8 @@
 // thread periodically writes the merged host + process metrics as one
 // JSON document (atomic rename), and Stop() writes a final snapshot.
 //
-// This is the deployment wrapper around ServerSession; the measured
-// experiment harnesses keep driving protocol objects directly.
+// This is the deployment wrapper around the session protocol; the
+// measured experiment harnesses keep driving protocol objects directly.
 
 #ifndef PPSTATS_CORE_SERVICE_HOST_H_
 #define PPSTATS_CORE_SERVICE_HOST_H_
@@ -116,8 +123,9 @@ struct ServiceHostOptions {
   /// set).
   uint32_t stats_interval_ms = 0;
 
-  /// Session concurrency engine. Both engines implement identical
-  /// protocol, deadline, rejection, and counter semantics.
+  /// Session concurrency engine. Both engines drive the same
+  /// ServerProtocolFsm and share deadline, rejection, and counter
+  /// semantics.
   ServiceEngine engine = ServiceEngine::kReactor;
 
   /// Reactor engine: number of event-loop threads. Every shard owns its
@@ -138,12 +146,6 @@ struct ServiceHostOptions {
   /// (backpressure, not rejection). 0 = unbounded.
   size_t fold_queue_depth = 0;
 
-  /// Reactor engine: flush each session's outbox with one gathered
-  /// sendmsg() over every pending frame instead of one send() per
-  /// frame. Off is kept as a bench ablation axis, not a deployment
-  /// choice.
-  bool outbox_writev = true;
-
   /// SO_SNDBUF for accepted session sockets, both engines. 0 keeps the
   /// kernel default; tests set tiny values to force partial writes
   /// (the kernel clamps to its floor, ~4.6KB on Linux).
@@ -163,7 +165,7 @@ struct ServiceHostOptions {
   std::optional<ShardBlindConfig> shard_blind;
 };
 
-/// Serves ServerSessions concurrently on a filesystem socket path.
+/// Serves client sessions concurrently on a unix or tcp endpoint.
 class ServiceHost {
  public:
   /// Aggregate counters across all sessions served so far (reset on
@@ -226,9 +228,6 @@ class ServiceHost {
   /// answer a client has already received is guaranteed to be counted
   /// (ServerSession accounts it before the response frame is sent).
   Stats SnapshotStats() const;
-
-  /// Alias of SnapshotStats(), kept for existing callers.
-  Stats stats() const { return SnapshotStats(); }
 
   /// The merged host + process-wide metrics this host's stats dumper
   /// exports (counters, gauges, and span histograms).

@@ -248,8 +248,11 @@ struct ServerSessionOptions {
 };
 
 /// Serves private-sum queries from a column registry (or a single
-/// database). Handles exactly one client session per Serve call; a
-/// ServiceHost runs many of these concurrently.
+/// database) over a blocking channel. Handles exactly one client
+/// session per Serve call; the threaded ServiceHost engine runs many of
+/// these concurrently. The protocol itself is ServerProtocolFsm
+/// (core/session_fsm.h), which the reactor engine drives too; Serve is
+/// only its blocking transport.
 class ServerSession {
  public:
   /// Single-column server: `db` is the default (and only) column.
@@ -260,20 +263,16 @@ class ServerSession {
       : registry_(registry), options_(options) {}
 
   /// Handles exactly one client session on the channel. Protocol
-  /// failures are reported to the peer (Error frame) and returned.
+  /// failures are reported to the peer (Error frame) and returned. A
+  /// receive that runs past the channel's read deadline evicts the
+  /// client: it gets a DeadlineExceeded Error frame, and Serve returns
+  /// DeadlineExceeded.
   [[nodiscard]] Status Serve(Channel& channel);
 
   /// Counters for the served session (valid after Serve returns).
   const SessionMetrics& metrics() const { return metrics_; }
 
  private:
-  [[nodiscard]] Status ServeV1(Channel& channel, const PaillierPublicKey& pub,
-                               QueryRouter& router);
-  [[nodiscard]] Status ServeV2(Channel& channel, const PaillierPublicKey& pub,
-                               QueryRouter& router);
-  [[nodiscard]] Status RunServerQuery(Channel& channel,
-                                      QueryExecution& execution);
-
   const ColumnRegistry* registry_ = nullptr;
   ServerSessionOptions options_;
   SessionMetrics metrics_;

@@ -1,10 +1,10 @@
 // ServerProtocolFsm: the server side of the session protocol as a
-// sans-IO state machine.
+// sans-IO state machine — the protocol's only implementation.
 //
-// ServerSession::Serve drives the same protocol with blocking channel
-// calls — one thread per client. The reactor host (core/reactor_host.h)
-// cannot block, so this class re-expresses Serve as explicit
-// transitions over complete frames:
+// Two transports drive it. ServerSession::Serve feeds it from blocking
+// channel calls (the threaded host engine and ppstats_server --once);
+// the reactor host (core/reactor_host.h) feeds it from non-blocking
+// sockets. Both see the same explicit transitions over complete frames:
 //
 //   kHandshake ──ClientHello──▶ kAwaitQuery          (v2)
 //        │                          │  ▲
@@ -21,11 +21,11 @@
 // processing is CPU-heavy (key deserialization, homomorphic folds), so
 // event loops run OnFrame on a worker pool, never on the loop thread.
 //
-// Semantics match ServerSession exactly: the same Error frames on the
-// same inputs, v1 fallback, the zero-row rejection, and live-stats
-// counter parity — queries_counter is bumped *before* the SumResponse
-// frame is handed back, so a client that has its answer is guaranteed
-// to find the query in the host's snapshot.
+// Every driver therefore sends the same Error frames on the same
+// inputs, with v1 fallback, the zero-row rejection, and live-stats
+// counters — queries_counter is bumped *before* the SumResponse frame
+// is handed back, so a client that has its answer is guaranteed to
+// find the query in the host's snapshot.
 
 #ifndef PPSTATS_CORE_SESSION_FSM_H_
 #define PPSTATS_CORE_SESSION_FSM_H_
@@ -62,7 +62,7 @@ struct ServerFsmOutput {
 /// calls (the reactor host runs at most one worker task per session).
 class ServerProtocolFsm {
  public:
-  /// Mirrors ServerSession's constructor; `session_ordinal` becomes the
+  /// Takes ServerSession's arguments; `session_ordinal` becomes the
   /// 1-based session id in span contexts (0 = unattributed).
   ServerProtocolFsm(const ColumnRegistry* registry,
                     ServerSessionOptions options, uint64_t session_ordinal = 0);
@@ -86,7 +86,7 @@ class ServerProtocolFsm {
   /// (or completed v1 query), the abort status otherwise.
   const Status& final_status() const { return final_status_; }
 
-  /// Counter parity with ServerSession::metrics().
+  /// The session's counters; ServerSession::metrics() reports these.
   const SessionMetrics& metrics() const { return metrics_; }
 
  private:

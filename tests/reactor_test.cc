@@ -489,7 +489,7 @@ TEST(ReactorC10kTest, ThousandsOfIdleAndSlowClientsFlatThreadCount) {
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; },
                       seconds(30)));
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   // Idle clients hung up mid-handshake: every session resolved, none ok.
   EXPECT_EQ(stats.sessions_ok + stats.sessions_failed, kTarget);
 }

@@ -249,7 +249,7 @@ TEST_P(ServiceChaosTest, ClientSideFaultMatrix) {
   }
   EXPECT_TRUE(host.running());
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   // Every chaos connect plus every clean verifier was accepted, and all
   // the clean ones ended ok.
   EXPECT_EQ(stats.sessions_accepted, 2 * chaos_runs);
@@ -280,7 +280,7 @@ TEST_P(ServiceChaosTest, ServerSideFaultMatrix) {
       ASSERT_TRUE(WaitForSessionsResolved(host, 1));
       EXPECT_TRUE(host.running());
       host.Stop();
-      EXPECT_EQ(host.stats().sessions_accepted, 1u);
+      EXPECT_EQ(host.SnapshotStats().sessions_accepted, 1u);
     }
   }
 }
@@ -308,7 +308,7 @@ TEST_P(ServiceChaosTest, SixteenSeedRandomSweep) {
   ExpectCleanClientServed(path, 424242);
   EXPECT_TRUE(host.running());
   host.Stop();
-  EXPECT_EQ(host.stats().sessions_accepted, 17u);
+  EXPECT_EQ(host.SnapshotStats().sessions_accepted, 17u);
 }
 
 TEST_P(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
@@ -342,7 +342,7 @@ TEST_P(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
 
   ExpectCleanClientServed(path, 77);
   host.Stop();
-  EXPECT_EQ(host.stats().sessions_evicted, 1u);
+  EXPECT_EQ(host.SnapshotStats().sessions_evicted, 1u);
 }
 
 TEST_P(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
@@ -410,7 +410,7 @@ TEST_P(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
   Status after = RunChaosClient(path, std::nullopt, 999);
   EXPECT_TRUE(IsTypedOutcome(after)) << after.ToString();
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, static_cast<uint64_t>(kClients) + 2);
   // Every accepted session resolved one way or the other — none hang.
   EXPECT_EQ(stats.sessions_ok + stats.sessions_failed,

@@ -198,7 +198,7 @@ TEST_P(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
   EXPECT_EQ(failures.load(), 0);
 
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, static_cast<uint64_t>(kClients));
   EXPECT_EQ(stats.sessions_ok, static_cast<uint64_t>(kClients));
   EXPECT_EQ(stats.sessions_failed, 0u);
@@ -255,7 +255,7 @@ TEST_P(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   }
 
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, 3u);
   EXPECT_EQ(stats.sessions_ok, 2u);
   EXPECT_EQ(stats.sessions_failed, 1u);
@@ -310,7 +310,7 @@ TEST_P(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
   }
   EXPECT_TRUE(host.running());
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, static_cast<uint64_t>(kClients));
   EXPECT_EQ(stats.sessions_ok, static_cast<uint64_t>(kClients));
 }
@@ -343,7 +343,7 @@ TEST_P(ServiceHostTest, SilentClientEvictedWithinDeadline) {
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
   EXPECT_TRUE(host.running());
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_failed, 1u);
   EXPECT_EQ(stats.sessions_evicted, 1u);
 }
@@ -382,7 +382,7 @@ TEST_P(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
 
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_evicted, 1u);
 }
 
@@ -429,7 +429,7 @@ TEST_P(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   ASSERT_TRUE(c.Finish().ok());
 
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_accepted, 2u);
   EXPECT_EQ(stats.sessions_rejected, 1u);
   EXPECT_EQ(stats.sessions_ok, 2u);
@@ -474,8 +474,8 @@ TEST_P(ServiceHostTest, AcceptLoopSurvivesFdExhaustion) {
   EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(7));
 
   host.Stop();
-  EXPECT_EQ(host.stats().sessions_accepted, 1u);
-  EXPECT_EQ(host.stats().sessions_ok, 1u);
+  EXPECT_EQ(host.SnapshotStats().sessions_accepted, 1u);
+  EXPECT_EQ(host.SnapshotStats().sessions_ok, 1u);
 }
 
 TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
@@ -495,13 +495,13 @@ TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
     EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(19));
   }
   host.Stop();
-  ServiceHost::Stats first = host.stats();
+  ServiceHost::Stats first = host.SnapshotStats();
   EXPECT_EQ(first.sessions_accepted, 1u);
   EXPECT_EQ(first.distinct_client_keys, 1u);
 
   // Same path, fresh run: counters and key cache start from zero.
   ASSERT_TRUE(host.Start(path).ok());
-  ServiceHost::Stats fresh = host.stats();
+  ServiceHost::Stats fresh = host.SnapshotStats();
   EXPECT_EQ(fresh.sessions_accepted, 0u);
   EXPECT_EQ(fresh.queries_served, 0u);
   EXPECT_EQ(fresh.distinct_client_keys, 0u);
@@ -513,7 +513,7 @@ TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
     EXPECT_EQ(client.Run(*channel).ValueOrDie(), BigInt(10));
   }
   host.Stop();
-  ServiceHost::Stats second = host.stats();
+  ServiceHost::Stats second = host.SnapshotStats();
   EXPECT_EQ(second.sessions_accepted, 1u);
   EXPECT_EQ(second.distinct_client_keys, 1u);
 }
@@ -537,7 +537,8 @@ TEST_P(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
 
   // The session is connected but has not finished; the accept must
   // already be visible.
-  EXPECT_TRUE(WaitFor([&] { return host.SnapshotStats().sessions_accepted == 1; }));
+  EXPECT_TRUE(
+      WaitFor([&] { return host.SnapshotStats().sessions_accepted == 1; }));
   EXPECT_EQ(host.SnapshotStats().sessions_ok, 0u);
 
   SelectionVector sel = {true, false, true};
@@ -635,7 +636,7 @@ TEST_P(ServiceHostTest, PipelinedGoodbyeThenHalfCloseCountsOk) {
 
   EXPECT_TRUE(WaitFor([&] { return host.SnapshotStats().sessions_ok == 1; }));
   host.Stop();
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_EQ(stats.sessions_ok, 1u);
   EXPECT_EQ(stats.sessions_failed, 0u);
 }
@@ -655,10 +656,11 @@ TEST_P(ServiceHostTest, OversizedFramePrefixFailsSessionCleanly) {
   const uint8_t huge[4] = {0xFF, 0xFF, 0xFF, 0xFF};
   ASSERT_EQ(::send(fd, huge, sizeof(huge), MSG_NOSIGNAL), 4);
 
-  EXPECT_TRUE(WaitFor([&] { return host.SnapshotStats().sessions_failed == 1; }));
+  EXPECT_TRUE(
+      WaitFor([&] { return host.SnapshotStats().sessions_failed == 1; }));
   ::close(fd);
   host.Stop();
-  EXPECT_EQ(host.stats().sessions_ok, 0u);
+  EXPECT_EQ(host.SnapshotStats().sessions_ok, 0u);
 }
 
 }  // namespace

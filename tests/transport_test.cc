@@ -360,10 +360,8 @@ bool SendAll(int fd, const Bytes& blob) {
 
 /// A pipelined client against a tiny server SO_SNDBUF: the outbox backs
 /// up mid-frame (EAGAIN at an arbitrary wire_off), and every response
-/// must still arrive byte-identical once the client drains. Runs under
-/// both flush strategies, so the partial-write resume of each is
-/// covered.
-void RunBackpressureRoundTrip(bool outbox_writev) {
+/// must still arrive byte-identical once the client drains.
+void RunBackpressureRoundTrip() {
   const size_t kQueries = 120;
   ChaCha20Rng rng(9393);
   WorkloadGenerator gen(rng);
@@ -373,11 +371,9 @@ void RunBackpressureRoundTrip(bool outbox_writev) {
   ServiceHostOptions options;
   options.engine = ServiceEngine::kReactor;
   options.default_column = "col";
-  options.outbox_writev = outbox_writev;
   options.so_sndbuf = 4096;  // force EAGAIN mid-stream
   ServiceHost host(&registry, options);
-  std::string path = std::string(::testing::TempDir()) +
-                     (outbox_writev ? "/bp_writev.sock" : "/bp_send.sock");
+  std::string path = std::string(::testing::TempDir()) + "/bp_writev.sock";
   ASSERT_TRUE(host.Start("unix:" + path).ok());
 
   PipelinedUpload upload = BuildUpload(db, kQueries, /*goodbye=*/true, 42);
@@ -414,23 +410,15 @@ void RunBackpressureRoundTrip(bool outbox_writev) {
   EXPECT_TRUE(WaitFor([&] { return host.active_sessions() == 0; }));
   host.Stop();
   obs::MetricsSnapshot snapshot = host.SnapshotMetrics();
-  if (outbox_writev) {
-    // The gathered path actually ran, and batched at least as many
-    // frames as it made syscalls.
-    EXPECT_GT(snapshot.CounterValue("net.writev_calls"), 0u);
-    EXPECT_GE(snapshot.CounterValue("net.writev_frames"),
-              snapshot.CounterValue("net.writev_calls"));
-  } else {
-    EXPECT_EQ(snapshot.CounterValue("net.writev_calls"), 0u);
-  }
+  // The gathered path actually ran, and batched at least as many
+  // frames as it made syscalls.
+  EXPECT_GT(snapshot.CounterValue("net.writev_calls"), 0u);
+  EXPECT_GE(snapshot.CounterValue("net.writev_frames"),
+            snapshot.CounterValue("net.writev_calls"));
 }
 
 TEST(TransportBackpressureTest, WritevOutboxResumesByteIdentical) {
-  RunBackpressureRoundTrip(/*outbox_writev=*/true);
-}
-
-TEST(TransportBackpressureTest, SendPerFrameOutboxResumesByteIdentical) {
-  RunBackpressureRoundTrip(/*outbox_writev=*/false);
+  RunBackpressureRoundTrip();
 }
 
 TEST(TransportBackpressureTest, CloseMidFlushDeadlineBoundsTeardown) {
@@ -491,7 +479,7 @@ TEST(TransportBackpressureTest, WriteDeadlineEvictsNeverDrainingPeer) {
   ASSERT_TRUE(SendAll(fd, upload.blob));
   EXPECT_TRUE(WaitForSessionsResolved(host, 1, seconds(10)))
       << "stalled session was never evicted";
-  ServiceHost::Stats stats = host.stats();
+  ServiceHost::Stats stats = host.SnapshotStats();
   EXPECT_GE(stats.sessions_failed, 1u);
   ::close(fd);
   host.Stop();
