@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "crypto/zero_share.h"
 #include "db/column_registry.h"
 #include "db/database.h"
+#include "net/retry.h"
 
 namespace ppstats {
 namespace {
@@ -514,6 +517,121 @@ TEST_P(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
       session.RunWithRetry(cluster->coordinator_host->bound_uri(), retry);
   ASSERT_TRUE(total.ok()) << total.status().ToString();
   EXPECT_EQ(*total, BigInt(ExpectedSum(cluster->values, selection)));
+}
+
+// ---------------------------------------------------------------------------
+// More concurrent fan-outs than shared-pool workers: coordinator and
+// shard hosts in one process, all on default host options, so session
+// frame processing and shard folds share ThreadPool::Shared(). A
+// fan-out that parks a shared worker until its legs return starves the
+// shard folds those legs wait for once every worker holds one.
+
+// Holds each client's IndexBatch until every client is ready to send
+// its own, so all fan-outs are in flight together.
+class LatchedChannel : public Channel {
+ public:
+  LatchedChannel(std::unique_ptr<Channel> inner, std::latch* upload_gate)
+      : inner_(std::move(inner)), upload_gate_(upload_gate) {}
+
+  Status Send(BytesView message) override {
+    Result<MessageType> type = PeekMessageType(message);
+    if (type.ok() && *type == MessageType::kIndexBatch) {
+      upload_gate_->arrive_and_wait();
+    }
+    return inner_->Send(message);
+  }
+  Result<Bytes> Receive() override { return inner_->Receive(); }
+  TrafficStats sent() const override { return inner_->sent(); }
+
+ private:
+  std::unique_ptr<Channel> inner_;
+  std::latch* upload_gate_;
+};
+
+TEST(ClusterSelfWaitTest, MoreConcurrentFanOutsThanSharedWorkersAllAnswer) {
+  constexpr size_t kShards = 4;
+  constexpr size_t kRowsPerShard = 8;
+  std::vector<uint32_t> values;
+  std::vector<std::unique_ptr<ColumnRegistry>> shard_registries;
+  std::vector<std::unique_ptr<ServiceHost>> shard_hosts;
+  std::vector<ShardDescriptor> shards;
+  for (size_t i = 0; i < kShards; ++i) {
+    std::vector<uint32_t> slice(kRowsPerShard);
+    for (size_t r = 0; r < slice.size(); ++r) {
+      slice[r] = static_cast<uint32_t>(10 * (i * kRowsPerShard + r) + 1);
+      values.push_back(slice[r]);
+    }
+    auto registry = std::make_unique<ColumnRegistry>();
+    ASSERT_TRUE(registry->Register(Database("v", slice)).ok());
+    auto host = std::make_unique<ServiceHost>(registry.get());
+    ASSERT_TRUE(host->Start("unix:" + std::string(::testing::TempDir()) +
+                            "/cl_sw_s" + std::to_string(i) + ".sock")
+                    .ok());
+    shards.push_back(MakeShard(static_cast<uint32_t>(i), host->bound_uri(),
+                               i * kRowsPerShard, (i + 1) * kRowsPerShard));
+    shard_registries.push_back(std::move(registry));
+    shard_hosts.push_back(std::move(host));
+  }
+  ColumnRegistry map_registry;
+  ASSERT_TRUE(map_registry.SetShards("v", std::move(shards)).ok());
+  CoordinatorOptions coordinator_options;
+  coordinator_options.shard_attempts = 1;
+  // Bounds the starved legs, so a self-waiting coordinator fails the
+  // queries instead of hanging the test.
+  coordinator_options.shard_io_deadline_ms = 5000;
+  ShardCoordinator coordinator(&map_registry, coordinator_options);
+  ASSERT_TRUE(coordinator.Validate().ok());
+  ServiceHostOptions host_options;
+  host_options.router_factory = coordinator.RouterFactory();
+  ServiceHost coordinator_host(&map_registry, host_options);
+  ASSERT_TRUE(coordinator_host
+                  .Start("unix:" + std::string(::testing::TempDir()) +
+                         "/cl_sw_coord.sock")
+                  .ok());
+
+  const size_t clients = ThreadPool::Shared().thread_count() + 1;
+  std::latch upload_gate(static_cast<std::ptrdiff_t>(clients));
+  std::vector<Result<BigInt>> totals(clients,
+                                     Status::Internal("client did not run"));
+  std::vector<SelectionVector> selections;
+  for (size_t c = 0; c < clients; ++c) {
+    SelectionVector selection(values.size(), false);
+    for (size_t i = c % 3; i < values.size(); i += 3) selection[i] = true;
+    selections.push_back(std::move(selection));
+  }
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      Result<std::unique_ptr<Channel>> dialed =
+          UriDialer(coordinator_host.bound_uri())();
+      if (!dialed.ok()) {
+        upload_gate.count_down();
+        totals[c] = dialed.status();
+        return;
+      }
+      LatchedChannel channel(std::move(*dialed), &upload_gate);
+      ChaCha20Rng rng(100 + c);
+      QuerySession session(SharedKeyPair().private_key, rng);
+      Status connected = session.Connect(channel);
+      if (!connected.ok()) {
+        upload_gate.count_down();
+        totals[c] = connected;
+        return;
+      }
+      QuerySpec spec;
+      spec.column = "v";
+      totals[c] = session.RunQuery(spec, selections[c]);
+      (void)session.Finish();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t c = 0; c < clients; ++c) {
+    ASSERT_TRUE(totals[c].ok()) << "client " << c << ": "
+                                << totals[c].status().ToString();
+    EXPECT_EQ(*totals[c], BigInt(ExpectedSum(values, selections[c])));
+  }
+  coordinator_host.Stop();
+  for (auto& host : shard_hosts) host->Stop();
 }
 
 // ---------------------------------------------------------------------------
