@@ -28,7 +28,6 @@
 
 #include "bench/microlib.h"
 #include "cluster/coordinator.h"
-#include "common/thread_pool.h"
 #include "core/messages.h"
 #include "core/service_host.h"
 #include "core/session.h"
@@ -60,7 +59,6 @@ struct BenchCluster {
   std::vector<std::unique_ptr<ColumnRegistry>> shard_registries;
   std::vector<std::unique_ptr<ServiceHost>> shard_hosts;
   ColumnRegistry map_registry;
-  std::unique_ptr<ThreadPool> pool;
   std::unique_ptr<ShardCoordinator> coordinator;
   std::unique_ptr<ServiceHost> host;
 
@@ -87,9 +85,7 @@ std::unique_ptr<BenchCluster> StartCluster(size_t shards,
     if (!registry->Register(Database("v", std::move(slice))).ok()) {
       return nullptr;
     }
-    ServiceHostOptions options;
-    options.engine = ServiceEngine::kThreaded;
-    auto host = std::make_unique<ServiceHost>(registry.get(), options);
+    auto host = std::make_unique<ServiceHost>(registry.get());
     if (!host->Start("tcp:127.0.0.1:0").ok()) return nullptr;
     ShardDescriptor shard;
     shard.id = static_cast<uint32_t>(s);
@@ -104,19 +100,16 @@ std::unique_ptr<BenchCluster> StartCluster(size_t shards,
     return nullptr;
   }
 
-  cluster->pool = std::make_unique<ThreadPool>(shards);
   CoordinatorOptions coordinator_options;
   coordinator_options.shard_attempts = 1;
   coordinator_options.shard_io_deadline_ms = 10000;
   coordinator_options.connect_deadline_ms = 2000;
   coordinator_options.partial_policy = policy;
-  coordinator_options.pool = cluster->pool.get();
   cluster->coordinator = std::make_unique<ShardCoordinator>(
       &cluster->map_registry, coordinator_options);
   if (!cluster->coordinator->Validate().ok()) return nullptr;
 
   ServiceHostOptions host_options;
-  host_options.engine = ServiceEngine::kThreaded;
   host_options.router_factory = cluster->coordinator->RouterFactory();
   cluster->host =
       std::make_unique<ServiceHost>(&cluster->map_registry, host_options);

@@ -1,6 +1,7 @@
 #include "cluster/coordinator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <map>
@@ -131,7 +132,10 @@ class CoordinatorRouter : public QueryRouter {
 
 /// One fan-out query: buffers the client's encrypted index vector in
 /// global row order, then scatters slices to the shards and gathers
-/// their encrypted partials into one response frame.
+/// their encrypted partials into one response frame. The frame that
+/// completes the vector submits the shard legs to the leg pool and
+/// returns, so the session driver never waits on shard I/O; the last
+/// leg to finish merges and hands the response to `on_result`.
 class ClusterExecution : public QueryExecution {
  public:
   ClusterExecution(CoordinatorRouter* router, ShardCoordinator* coordinator,
@@ -150,7 +154,7 @@ class ClusterExecution : public QueryExecution {
   }
 
   [[nodiscard]] Result<std::optional<Bytes>> HandleRequest(
-      BytesView frame) override {
+      BytesView frame, QueryResultCallback on_result) override {
     // Mirrors the FoldEngine contract (and its error strings) so a
     // client cannot tell a coordinator from a plain server.
     if (finished_) {
@@ -168,8 +172,8 @@ class ClusterExecution : public QueryExecution {
       weights_.push_back(std::move(ct));
     }
     if (weights_.size() < rows_) return std::optional<Bytes>(std::nullopt);
-    PPSTATS_ASSIGN_OR_RETURN(Bytes response, FanOut());
-    return std::optional<Bytes>(std::move(response));
+    StartFanOut(std::move(on_result));
+    return std::optional<Bytes>(std::nullopt);
   }
 
   bool Finished() const override { return finished_; }
@@ -181,11 +185,14 @@ class ClusterExecution : public QueryExecution {
     std::optional<PaillierCiphertext> sum;
   };
 
-  [[nodiscard]] Result<Bytes> FanOut();
-  [[nodiscard]] Status QueryShard(size_t i, uint64_t nonce,
-                                  PaillierCiphertext* out);
-  [[nodiscard]] Status QueryShardOnce(size_t i, uint64_t nonce,
-                                      PaillierCiphertext* out);
+  /// Scatter: submits one leg per shard to the leg pool and returns.
+  void StartFanOut(QueryResultCallback on_result);
+  /// One shard leg; the last leg to finish gathers and delivers.
+  void RunLeg(size_t i);
+  /// Gather: merges the legs' outcomes into the response frame.
+  [[nodiscard]] Result<Bytes> Merge();
+  [[nodiscard]] Status QueryShard(size_t i, PaillierCiphertext* out);
+  [[nodiscard]] Status QueryShardOnce(size_t i, PaillierCiphertext* out);
 
   CoordinatorRouter* router_;
   ShardCoordinator* coordinator_;
@@ -199,6 +206,15 @@ class ClusterExecution : public QueryExecution {
   std::vector<PaillierCiphertext> weights_;
   bool finished_ = false;
   double compute_seconds_ = 0;
+
+  // Fan-out state, set before the legs are submitted; leg i writes only
+  // outcomes_[i], and the last leg (legs_left_ reaching zero) reads all.
+  QueryResultCallback on_result_;
+  std::optional<obs::ObsSpan> fanout_span_;  ///< scatter to merge
+  obs::SpanContext span_context_;            ///< the driver's, for the legs
+  uint64_t nonce_ = 0;
+  std::vector<ShardOutcome> outcomes_;
+  std::atomic<size_t> legs_left_{0};
 };
 
 Result<OpenedQuery> CoordinatorRouter::Open(const QueryHeaderMessage& header,
@@ -247,23 +263,40 @@ Result<OpenedQuery> CoordinatorRouter::Open(const QueryHeaderMessage& header,
   return opened;
 }
 
-Result<Bytes> ClusterExecution::FanOut() {
+void ClusterExecution::StartFanOut(QueryResultCallback on_result) {
   finished_ = true;
   coordinator_->fanouts_->Increment();
-  obs::ObsSpan fanout(obs::kSpanClusterFanout, coordinator_->metrics_);
+  on_result_ = std::move(on_result);
+  fanout_span_.emplace(obs::kSpanClusterFanout, coordinator_->metrics_);
+  span_context_ = obs::CurrentContext();
+  nonce_ = coordinator_->options_.blind_partials ? coordinator_->NextNonce()
+                                                 : 0;
+  outcomes_.resize(shards_.size());
+  legs_left_.store(shards_.size(), std::memory_order_relaxed);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    coordinator_->pool_->Submit([this, i] { RunLeg(i); });
+  }
+}
+
+void ClusterExecution::RunLeg(size_t i) {
+  obs::ScopedSpanContext context(span_context_);
+  PaillierCiphertext sum;
+  Status status = QueryShard(i, &sum);
+  if (status.ok()) outcomes_[i].sum = std::move(sum);
+  outcomes_[i].status = std::move(status);
+  if (legs_left_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+
+  Result<Bytes> response = Merge();
+  fanout_span_.reset();
+  // The driver may destroy this execution as soon as it holds the
+  // result, so the callback is the last thing that touches it.
+  QueryResultCallback on_result = std::move(on_result_);
+  on_result(std::move(response));
+}
+
+Result<Bytes> ClusterExecution::Merge() {
   const CoordinatorOptions& opt = coordinator_->options_;
-  const uint64_t nonce =
-      opt.blind_partials ? coordinator_->NextNonce() : 0;
-
-  std::vector<ShardOutcome> outcomes(shards_.size());
-  coordinator_->pool_->Run(shards_.size(), [&](size_t i) {
-    PaillierCiphertext sum;
-    Status status = QueryShard(i, nonce, &sum);
-    if (status.ok()) outcomes[i].sum = std::move(sum);
-    outcomes[i].status = std::move(status);
-  });
-
-  // Gather: multiply the encrypted partials (plaintext addition).
+  // Multiply the encrypted partials (plaintext addition).
   double merge_s = 0;
   std::optional<PaillierCiphertext> merged;
   uint64_t responded = 0;
@@ -273,21 +306,21 @@ Result<Bytes> ClusterExecution::FanOut() {
     obs::ScopedPhaseTimer timer(&merge_s, obs::kSpanServerCompute,
                                 coordinator_->metrics_);
     for (size_t i = 0; i < shards_.size(); ++i) {
-      if (!outcomes[i].status.ok()) {
+      if (!outcomes_[i].status.ok()) {
         if (!first_failure.has_value()) {
           first_failure = Status(
-              outcomes[i].status.code(),
+              outcomes_[i].status.code(),
               "shard " + std::to_string(shards_[i].id) + " (" +
                   shards_[i].uri + ") failed: " +
-                  outcomes[i].status.message());
+                  outcomes_[i].status.message());
         }
         continue;
       }
       ++responded;
       rows_covered += shards_[i].end - shards_[i].begin;
       merged = merged.has_value()
-                   ? Paillier::Add(pub_, *merged, *outcomes[i].sum)
-                   : std::move(*outcomes[i].sum);
+                   ? Paillier::Add(pub_, *merged, *outcomes_[i].sum)
+                   : std::move(*outcomes_[i].sum);
     }
   }
   compute_seconds_ += merge_s;
@@ -313,13 +346,12 @@ Result<Bytes> ClusterExecution::FanOut() {
   return partial.Encode(pub_);
 }
 
-Status ClusterExecution::QueryShard(size_t i, uint64_t nonce,
-                                    PaillierCiphertext* out) {
+Status ClusterExecution::QueryShard(size_t i, PaillierCiphertext* out) {
   obs::ObsSpan span(obs::kSpanClusterShardQuery, coordinator_->metrics_);
   const CoordinatorOptions& opt = coordinator_->options_;
   // Deterministic per-(query, shard) jitter stream: fan-outs stay
   // reproducible under a fixed nonce sequence.
-  ChaCha20Rng backoff_rng(nonce * 1000003 + shards_[i].id);
+  ChaCha20Rng backoff_rng(nonce_ * 1000003 + shards_[i].id);
   Status last = Status::OK();
   for (size_t attempt = 1; attempt <= opt.shard_attempts; ++attempt) {
     if (attempt > 1) {
@@ -328,7 +360,7 @@ Status ClusterExecution::QueryShard(size_t i, uint64_t nonce,
           RetryBackoffMs(attempt - 1, opt.retry, backoff_rng);
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     }
-    last = QueryShardOnce(i, nonce, out);
+    last = QueryShardOnce(i, out);
     if (last.ok()) {
       coordinator_->shard_queries_ok_->Increment();
       return last;
@@ -341,8 +373,7 @@ Status ClusterExecution::QueryShard(size_t i, uint64_t nonce,
   return last;
 }
 
-Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
-                                        PaillierCiphertext* out) {
+Status ClusterExecution::QueryShardOnce(size_t i, PaillierCiphertext* out) {
   const ShardDescriptor& shard = shards_[i];
   PPSTATS_ASSIGN_OR_RETURN(Channel * channel,
                            router_->UpstreamChannel(shard.uri));
@@ -353,7 +384,7 @@ Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
   header.column2 = column2_;
   if (coordinator_->options_.blind_partials) {
     header.blind_partial = true;
-    header.blind_nonce = nonce;
+    header.blind_nonce = nonce_;
   }
   PPSTATS_RETURN_IF_ERROR(channel->Send(header.Encode()));
   PPSTATS_ASSIGN_OR_RETURN(Bytes accept_frame, channel->Receive());
@@ -400,7 +431,13 @@ Status ClusterExecution::QueryShardOnce(size_t i, uint64_t nonce,
 ShardCoordinator::ShardCoordinator(const ColumnRegistry* registry,
                                    CoordinatorOptions options)
     : registry_(registry), options_(std::move(options)) {
-  pool_ = options_.pool != nullptr ? options_.pool : &ThreadPool::Shared();
+  if (options_.pool == nullptr) {
+    // Sized like ThreadPool::Shared(), but never that pool: legs block
+    // on shard I/O, and the shard folds they wait for may run there.
+    owned_pool_ = std::make_unique<ThreadPool>(
+        std::max(1u, std::thread::hardware_concurrency()));
+  }
+  pool_ = options_.pool != nullptr ? options_.pool : owned_pool_.get();
   metrics_ = options_.metrics != nullptr ? options_.metrics
                                          : &obs::MetricRegistry::Global();
   fanouts_ = metrics_->GetCounter("cluster.fanouts");

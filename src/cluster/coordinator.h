@@ -13,7 +13,8 @@
 // the encrypted partial sums homomorphically (Paillier ciphertext
 // multiply = plaintext add) into the single SumResponse the client
 // expects. The client cannot tell a coordinator from a plain server
-// on the happy path.
+// on the happy path. The fan-out completes asynchronously
+// (core/query_exec.h), so no session driver waits on a shard.
 //
 // Privacy: the coordinator decrypts nothing — partials and the merged
 // total are ciphertexts under the client's key. To also hide each
@@ -108,7 +109,9 @@ struct CoordinatorOptions {
   /// whole slice in one frame.
   size_t chunk_size = 0;
 
-  /// Pool the fan-out legs run on; null uses ThreadPool::Shared().
+  /// Pool the fan-out legs run on; null gives the coordinator a pool of
+  /// its own, sized to the hardware. Legs block on shard I/O, so this
+  /// must not be ThreadPool::Shared(), where sessions and folds run.
   ThreadPool* pool = nullptr;
 
   /// Registry for cluster.* counters and span histograms; null uses
@@ -150,6 +153,7 @@ class ShardCoordinator {
 
   const ColumnRegistry* registry_;
   CoordinatorOptions options_;
+  std::unique_ptr<ThreadPool> owned_pool_;  ///< legs, when options.pool is null
   ThreadPool* pool_;                 ///< resolved from options
   obs::MetricRegistry* metrics_;     ///< resolved from options
   std::atomic<uint64_t> nonce_{1};

@@ -1,10 +1,9 @@
 // The query execution seam between the session protocol drivers and
 // whatever actually answers a query.
 //
-// Both server engines (the blocking ServerSession loop and the reactor
-// ServerProtocolFsm) speak the same v1/v2 frame protocol but used to be
-// hard-wired to a local SumServer fold. This header splits that
-// dependency in two:
+// The server protocol (ServerProtocolFsm, driven by the reactor host or
+// the blocking ServerSession loop) used to be hard-wired to a local
+// SumServer fold. This header splits that dependency in two:
 //
 //  * QueryRouter — per-session policy object: resolves a QueryHeader
 //    (or the v1 implicit default query) into an opened query. The
@@ -13,8 +12,10 @@
 //    (src/cluster) substitutes a router that fans the query out to
 //    shard servers instead.
 //  * QueryExecution — per-query object: consumes the client's request
-//    frames and eventually yields one encoded response frame, exactly
-//    the SumServer::HandleRequest contract.
+//    frames and eventually yields one encoded response frame, either
+//    from HandleRequest itself (the SumServer::HandleRequest contract)
+//    or, for an execution that waits on other servers, later through a
+//    completion callback.
 //
 // ServiceHostOptions::router_factory plugs a custom router into every
 // session of a host; sessions without one build a LocalQueryRouter.
@@ -23,6 +24,7 @@
 #define PPSTATS_CORE_QUERY_EXEC_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -49,26 +51,38 @@ struct ShardBlindConfig {
   BigInt modulus = BigInt(1) << 64;
 };
 
+/// Receives the response frame of a query that finished after
+/// HandleRequest returned, or the failure that replaces it.
+using QueryResultCallback = std::function<void(Result<Bytes>)>;
+
 /// One in-flight query: frames in, at most one response frame out.
 /// Mirrors SumServer::HandleRequest so local and remote execution are
 /// interchangeable to the protocol drivers.
 ///
 /// Threading: like its QueryRouter, an execution belongs to exactly
-/// one session and is only ever driven from that session's driver
-/// thread (the blocking ServerSession loop or the reactor shard that
-/// owns the connection), so implementations hold no locks. Anything
-/// an implementation fans out to other threads internally (e.g. the
-/// SumServer worker pool) must be joined before HandleRequest returns.
+/// one session, and HandleRequest is only ever called from that
+/// session's driver (one call at a time), so implementations hold no
+/// locks for it. An execution either answers synchronously — anything
+/// it fans out internally (e.g. the SumServer fold slices) is joined
+/// before HandleRequest returns — or asynchronously: its last
+/// HandleRequest returns std::nullopt with Finished() already true,
+/// and it later calls `on_result` exactly once, from any thread. The
+/// driver keeps the execution (and its router) alive until then and
+/// feeds it nothing more. An asynchronous execution must not wait on
+/// its own work from a ThreadPool::Shared() task: the session drivers
+/// run there, and so do the folds that remote legs may wait for.
 class QueryExecution {
  public:
   virtual ~QueryExecution() = default;
 
   /// Consumes one request frame. Returns the encoded response frame
-  /// once the query is complete, std::nullopt before that.
+  /// once the query is complete, std::nullopt before that (see the
+  /// class comment for asynchronous completion through `on_result`).
   [[nodiscard]] virtual Result<std::optional<Bytes>> HandleRequest(
-      BytesView frame) = 0;
+      BytesView frame, QueryResultCallback on_result) = 0;
 
-  /// True once the response has been produced.
+  /// True once the last request frame has been consumed: the response
+  /// has been produced, or is on its way through `on_result`.
   virtual bool Finished() const = 0;
 
   /// Compute time attributable to this query (drives the host's
@@ -120,7 +134,7 @@ class LocalQueryExecution : public QueryExecution {
       : server_(pub, query, worker_threads) {}
 
   [[nodiscard]] Result<std::optional<Bytes>> HandleRequest(
-      BytesView frame) override {
+      BytesView frame, QueryResultCallback /*on_result*/) override {
     return server_.HandleRequest(frame);
   }
   bool Finished() const override { return server_.Finished(); }

@@ -21,8 +21,8 @@ namespace ppstats {
 
 namespace {
 
-/// Inbound frame size limit — matches WrapSocket's default, so both
-/// engines reject the same hostile length prefixes.
+/// Inbound frame size limit — matches WrapSocket's default, so blocking
+/// channels reject the same hostile length prefixes.
 constexpr size_t kMaxMessageBytes = size_t{1} << 28;
 
 /// recv() scratch size per call; the read loop drains to EAGAIN anyway
@@ -32,6 +32,48 @@ constexpr size_t kReadChunkBytes = 64 * 1024;
 /// Frames gathered into one sendmsg(). Well under IOV_MAX; one batch
 /// per syscall, re-gathered after partial writes.
 constexpr size_t kWritevBatchFrames = 64;
+
+/// Cap on the accept-failure backoff. Transient fd exhaustion usually
+/// clears in milliseconds; anything longer and the host should still
+/// probe regularly rather than sleep through recovery.
+constexpr uint32_t kMaxAcceptBackoffMs = 100;
+
+/// Write deadline for the over-capacity Error frame: the frame is tiny
+/// and the socket buffer empty, so this only guards against a client
+/// that connects and immediately stops reading.
+constexpr uint32_t kRejectWriteDeadlineMs = 100;
+
+/// The ResourceExhausted Error frame an over-capacity connect receives.
+Bytes OverCapacityErrorFrame() {
+  return EncodeErrorFrame(
+      Status::ResourceExhausted("server at capacity; retry later"));
+}
+
+/// Options for one newly accepted session: the host's fold and blinding
+/// settings, its key cache, metric registry and live counters, and a
+/// fresh router when the host has a router_factory.
+ServerSessionOptions NewSessionOptions(const ServiceHostOptions& options,
+                                       const Database* default_column,
+                                       PublicKeyCache* key_cache,
+                                       obs::MetricRegistry* metric_registry,
+                                       obs::Counter* queries_counter,
+                                       obs::Counter* compute_ns_counter) {
+  ServerSessionOptions session_options;
+  session_options.default_column = default_column;
+  session_options.worker_threads = options.worker_threads;
+  session_options.key_cache = key_cache;
+  session_options.registry = metric_registry;
+  // The session bumps these itself, before each query's response frame
+  // is sent — that is what keeps SnapshotStats() live instead of
+  // stale-until-Stop.
+  session_options.queries_counter = queries_counter;
+  session_options.compute_ns_counter = compute_ns_counter;
+  session_options.shard_blind = options.shard_blind;
+  if (options.router_factory != nullptr) {
+    session_options.router = options.router_factory();
+  }
+  return session_options;
+}
 
 }  // namespace
 
@@ -68,6 +110,10 @@ struct ReactorEngine::SessionState {
   std::deque<Bytes> inbox;
   Bytes current_frame;  ///< owned by the worker while processing
   bool processing = false;
+  // A query finishing off the pool: `result_pending` is set once the
+  // worker's output lands, and the result may be posted before that.
+  bool result_pending = false;
+  std::optional<Result<Bytes>> query_result;
 
   // Write side (reactor thread only).
   std::deque<OutFrame> outbox;
@@ -94,45 +140,24 @@ struct ReactorEngine::SessionState {
   bool closed = false;
 };
 
-Bytes OverCapacityErrorFrame() {
-  return EncodeErrorFrame(
-      Status::ResourceExhausted("server at capacity; retry later"));
-}
-
-ServerSessionOptions NewSessionOptions(const ServiceHostOptions& options,
-                                       const Database* default_column,
-                                       PublicKeyCache* key_cache,
-                                       obs::MetricRegistry* metric_registry,
-                                       obs::Counter* queries_counter,
-                                       obs::Counter* compute_ns_counter) {
-  ServerSessionOptions session_options;
-  session_options.default_column = default_column;
-  session_options.worker_threads = options.worker_threads;
-  session_options.key_cache = key_cache;
-  session_options.registry = metric_registry;
-  // The session bumps these itself, before each query's response frame
-  // is sent — that is what keeps SnapshotStats() live instead of
-  // stale-until-Stop.
-  session_options.queries_counter = queries_counter;
-  session_options.compute_ns_counter = compute_ns_counter;
-  session_options.shard_blind = options.shard_blind;
-  if (options.router_factory != nullptr) {
-    session_options.router = options.router_factory();
-  }
-  return session_options;
-}
-
 ReactorEngine::ReactorEngine(const ColumnRegistry* registry,
                              const Database* default_column,
                              const ServiceHostOptions& options,
-                             HostCounters counters, PublicKeyCache* key_cache,
+                             PublicKeyCache* key_cache,
                              obs::MetricRegistry* metric_registry)
     : registry_(registry),
       default_column_(default_column),
       options_(options),
-      counters_(counters),
       key_cache_(key_cache),
-      metric_registry_(metric_registry) {}
+      metric_registry_(metric_registry),
+      accepted_(metric_registry->GetCounter("host.sessions_accepted")),
+      ok_(metric_registry->GetCounter("host.sessions_ok")),
+      failed_(metric_registry->GetCounter("host.sessions_failed")),
+      rejected_(metric_registry->GetCounter("host.sessions_rejected")),
+      evicted_(metric_registry->GetCounter("host.sessions_evicted")),
+      queries_(metric_registry->GetCounter("host.queries_served")),
+      compute_ns_(metric_registry->GetCounter("host.server_compute_ns")),
+      active_(metric_registry->GetGauge("host.active_sessions")) {}
 
 ReactorEngine::~ReactorEngine() { Stop(); }
 
@@ -240,8 +265,8 @@ void ReactorEngine::Stop() {
   }
   {
     // Drain: sessions in flight run to completion (bounded by the I/O
-    // deadline when one is set), exactly like the threaded engine's
-    // reaper join. Worker completions keep landing on the reactors
+    // deadline when one is set, or by the shard I/O deadline while a
+    // fan-out is pending). Completions keep landing on the reactors
     // until the last session finalizes, so the loops must stay up.
     MutexLock lock(drain_mu_);
     while (live_sessions_ > 0) drain_cv_.Wait(drain_mu_);
@@ -276,8 +301,7 @@ void ReactorEngine::AcceptPass(size_t shard) {
     if (!next.ok()) {
       if (next.status().code() != StatusCode::kResourceExhausted) {
         // The listener is dead (shutdown or a hard kernel error); stop
-        // accepting on this shard, like the threaded accept loop
-        // returning.
+        // accepting on this shard.
         RemoveListener(shard);
         return;
       }
@@ -316,24 +340,23 @@ void ReactorEngine::OpenSession(size_t shard, int fd, bool reject) {
   // with no cross-shard handoff.
   session->shard = shard;
   if (reject) {
-    counters_.rejected->Increment();
+    rejected_->Increment();
     session->mode = SessionState::Mode::kRejecting;
   } else {
-    counters_.accepted->Increment();
-    // Ids count accepted sessions only, like the threaded engine — so
-    // fault_seed + id addresses the same session under either engine
-    // whenever the accept order is deterministic (single-client chaos
-    // tests; multi-shard runs only promise id uniqueness).
+    accepted_->Increment();
+    // Ids count accepted sessions only, so fault_seed + id addresses
+    // the same session on every run whenever the accept order is
+    // deterministic (single-client chaos tests; multi-shard runs only
+    // promise id uniqueness).
     session->id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
     serving_count_.fetch_add(1, std::memory_order_acq_rel);
-    counters_.active->Set(
+    active_->Set(
         static_cast<int64_t>(serving_count_.load(std::memory_order_acquire)));
 
     session->fsm = std::make_unique<ServerProtocolFsm>(
         registry_,
         NewSessionOptions(options_, default_column_, key_cache_,
-                          metric_registry_, counters_.queries,
-                          counters_.compute_ns),
+                          metric_registry_, queries_, compute_ns_),
         session->id + 1);
     if (options_.fault_injection.has_value()) {
       session->fault_rng =
@@ -365,8 +388,8 @@ void ReactorEngine::RegisterSession(size_t shard,
     return;
   }
   if (session->mode == SessionState::Mode::kRejecting) {
-    // Best-effort hello drain before the Error frame, bounded like the
-    // threaded engine's 100ms reject read deadline.
+    // Best-effort hello drain before the Error frame, bounded by the
+    // 100ms reject deadline.
     session->reject_timer = sh.reactor->ArmTimer(
         std::chrono::milliseconds(kRejectWriteDeadlineMs),
         [this, shard, session] {
@@ -484,7 +507,13 @@ void ReactorEngine::PumpProcessing(size_t shard,
   // completion posts back; the reactor thread will not touch either
   // while `processing` is set.
   auto task = [this, shard, s] {
-    ServerFsmOutput out = s->fsm->OnFrame(s->current_frame);
+    ServerFsmOutput out = s->fsm->OnFrame(
+        s->current_frame, [this, shard, s](Result<Bytes> result) {
+          shards_[shard].reactor->Post(
+              [this, shard, s, result = std::move(result)]() mutable {
+                OnQueryResult(shard, s, std::move(result));
+              });
+        });
     shards_[shard].reactor->Post([this, shard, s, out = std::move(out)]() mutable {
       HandleFsmOutput(shard, s, std::move(out));
     });
@@ -519,8 +548,18 @@ void ReactorEngine::PumpProcessing(size_t shard,
 void ReactorEngine::HandleFsmOutput(size_t shard,
                                     const std::shared_ptr<SessionState>& s,
                                     ServerFsmOutput out) {
-  s->processing = false;
   s->current_frame.clear();
+  if (out.result_pending) {
+    // The session stays `processing` until the result lands.
+    s->result_pending = true;
+    if (s->query_result.has_value()) {
+      Result<Bytes> result = std::move(*s->query_result);
+      s->query_result.reset();
+      OnQueryResult(shard, s, std::move(result));
+    }
+    return;
+  }
+  s->processing = false;
   if (s->closed) return;
   for (const Bytes& frame : out.frames) {
     AppendOutbound(s, frame, /*faultable=*/true);
@@ -548,6 +587,17 @@ void ReactorEngine::HandleFsmOutput(size_t shard,
     return;
   }
   ArmReadTimer(shard, s);  // back to waiting on the client
+}
+
+void ReactorEngine::OnQueryResult(size_t shard,
+                                  const std::shared_ptr<SessionState>& s,
+                                  Result<Bytes> result) {
+  if (!s->result_pending) {  // the worker's output has not landed yet
+    s->query_result.emplace(std::move(result));
+    return;
+  }
+  s->result_pending = false;
+  HandleFsmOutput(shard, s, s->fsm->OnQueryResult(std::move(result)));
 }
 
 void ReactorEngine::AppendOutbound(const std::shared_ptr<SessionState>& s,
@@ -667,8 +717,7 @@ void ReactorEngine::Flush(size_t shard, const std::shared_ptr<SessionState>& s) 
       ArmWriteTimer(shard, s);
       return;
     }
-    // The "send failed" prefix matches the threaded engine's
-    // SocketChannel::Send.
+    // The "send failed" prefix matches SocketChannel::Send.
     HandleSendFailure(
         shard, s, ErrnoStatus(StatusCode::kProtocolError, "send failed", errno));
     return;
@@ -741,8 +790,8 @@ void ReactorEngine::SetWriteInterest(size_t shard,
 void ReactorEngine::BeginReject(size_t shard,
                                 const std::shared_ptr<SessionState>& s) {
   CancelSessionTimer(shard, s->reject_timer);
-  // The rejection frame bypasses fault injection, like the threaded
-  // engine's RejectOverCapacity writing to the raw accepted channel.
+  // The rejection frame bypasses fault injection: it is the host's
+  // answer, not part of the session protocol.
   AppendOutbound(s, OverCapacityErrorFrame(), /*faultable=*/false);
   s->closing = true;
   Flush(shard, s);
@@ -778,8 +827,8 @@ void ReactorEngine::HandleReadFailure(size_t shard,
                                       Status error) {
   CancelSessionTimer(shard, s->read_timer);
   if (s->mode == SessionState::Mode::kRejecting) {
-    // Parity with RejectOverCapacity: the hello drain is best-effort
-    // (Receive().IgnoreError()); the Error frame is sent regardless.
+    // The hello drain is best-effort; the Error frame is sent
+    // regardless.
     if (!s->closing) BeginReject(shard, s);
     return;
   }
@@ -833,15 +882,15 @@ void ReactorEngine::FinalizeSession(size_t shard,
     }
     if (status.ok() && !s->flush_error.ok()) status = s->flush_error;
     if (status.ok()) {
-      counters_.ok->Increment();
+      ok_->Increment();
     } else {
-      counters_.failed->Increment();
+      failed_->Increment();
       if (status.code() == StatusCode::kDeadlineExceeded) {
-        counters_.evicted->Increment();
+        evicted_->Increment();
       }
     }
     serving_count_.fetch_sub(1, std::memory_order_acq_rel);
-    counters_.active->Set(
+    active_->Set(
         static_cast<int64_t>(serving_count_.load(std::memory_order_acquire)));
   }
   {

@@ -1,5 +1,4 @@
-// ReactorEngine: the event-driven session engine behind
-// ServiceHost::Start when ServiceHostOptions::engine == kReactor.
+// ReactorEngine: the event-driven session engine behind ServiceHost.
 //
 // Instead of one blocking thread per client, a fixed set of reactor
 // threads (net/reactor.h) owns every fd non-blocking: the listeners and
@@ -21,23 +20,23 @@
 // the shared work-stealing ThreadPool, so CPU parallelism stays bounded
 // no matter how many clients are connected — the property that lets one
 // host hold thousands of idle or slow sessions with a flat thread
-// count.
+// count. A query that finishes off the pool (core/query_exec.h) posts
+// its result back to the session's shard; until then later frames wait
+// in the inbox, no read timer runs, and the session is not finalized.
 //
-// Both engines drive the same ServerProtocolFsm, so their Error frames
-// match by construction. Parity with the threaded engine
-// (core/service_host.cc) in everything around it is a hard requirement
-// — same counters, same eviction and rejection behavior:
+// Around the FSM the engine enforces the host's robustness contract:
 //  * io_deadline_ms is a whole-frame deadline. The read timer arms when
 //    the host starts waiting for a frame and is cancelled only by a
 //    complete frame, so a client trickling single bytes (Slowloris)
 //    is still evicted. Stalled writes are bounded the same way.
 //  * Over-capacity connects get the ResourceExhausted Error frame after
 //    a best-effort hello drain, then the socket closes.
-//  * Session outcomes map onto the same host.* counters, and queries
-//    are counted before their response frame reaches the wire.
-//  * options.fault_injection applies the same per-send fault plan
-//    (FrameFaultPlanner) in the same RNG draw order, so chaos seeds
-//    reproduce identical fault sequences under either engine.
+//  * Session outcomes map onto the host.* counters, and queries are
+//    counted before their response frame reaches the wire.
+//  * options.fault_injection applies a per-send fault plan
+//    (FrameFaultPlanner) seeded with fault_seed + session id, in the
+//    same RNG draw order as a blocking FaultInjectingChannel, so chaos
+//    seeds reproduce identical fault sequences.
 
 #ifndef PPSTATS_CORE_REACTOR_HOST_H_
 #define PPSTATS_CORE_REACTOR_HOST_H_
@@ -61,53 +60,14 @@
 
 namespace ppstats {
 
-// Shared by both engines; the threaded one lives in core/service_host.cc.
-
-/// Cap on the accept-failure backoff. Transient fd exhaustion usually
-/// clears in milliseconds; anything longer and the host should still
-/// probe regularly rather than sleep through recovery.
-inline constexpr uint32_t kMaxAcceptBackoffMs = 100;
-
-/// Write deadline for the over-capacity Error frame: the frame is tiny
-/// and the socket buffer empty, so this only guards against a client
-/// that connects and immediately stops reading.
-inline constexpr uint32_t kRejectWriteDeadlineMs = 100;
-
-/// The ResourceExhausted Error frame an over-capacity connect receives.
-Bytes OverCapacityErrorFrame();
-
-/// Options for one newly accepted session: the host's fold and blinding
-/// settings, its key cache, metric registry and live counters, and a
-/// fresh router when the host has a router_factory.
-ServerSessionOptions NewSessionOptions(const ServiceHostOptions& options,
-                                       const Database* default_column,
-                                       PublicKeyCache* key_cache,
-                                       obs::MetricRegistry* metric_registry,
-                                       obs::Counter* queries_counter,
-                                       obs::Counter* compute_ns_counter);
-
 /// See the file comment. Owned by ServiceHost; one engine per Start().
 class ReactorEngine {
  public:
-  /// The owning host's registry-backed counters; the engine bumps the
-  /// same instruments the threaded engine does, so SnapshotStats() is
-  /// engine-agnostic.
-  struct HostCounters {
-    obs::Counter* accepted = nullptr;
-    obs::Counter* ok = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* evicted = nullptr;
-    obs::Counter* queries = nullptr;
-    obs::Counter* compute_ns = nullptr;
-    obs::Gauge* active = nullptr;
-  };
-
   /// All pointers must outlive the engine. `default_column` is the
-  /// host's resolved default (may be null).
+  /// host's resolved default (may be null). The host.* counters the
+  /// engine bumps live in `metric_registry`.
   ReactorEngine(const ColumnRegistry* registry, const Database* default_column,
-                const ServiceHostOptions& options, HostCounters counters,
-                PublicKeyCache* key_cache,
+                const ServiceHostOptions& options, PublicKeyCache* key_cache,
                 obs::MetricRegistry* metric_registry);
   ~ReactorEngine();
 
@@ -123,8 +83,9 @@ class ReactorEngine {
   const Endpoint& endpoint() const { return endpoint_; }
 
   /// Stops accepting, waits for in-flight sessions to drain (bounded by
-  /// io_deadline_ms when set, exactly like the threaded engine), then
-  /// stops and joins every reactor thread. Idempotent.
+  /// io_deadline_ms when set, and a session awaiting a fan-out by its
+  /// legs' shard I/O deadline), then stops and joins every reactor
+  /// thread. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -166,6 +127,8 @@ class ReactorEngine {
   void PumpProcessing(size_t shard, const std::shared_ptr<SessionState>& s);
   void HandleFsmOutput(size_t shard, const std::shared_ptr<SessionState>& s,
                        ServerFsmOutput out);
+  void OnQueryResult(size_t shard, const std::shared_ptr<SessionState>& s,
+                     Result<Bytes> result);
   void AppendOutbound(const std::shared_ptr<SessionState>& s, BytesView payload,
                       bool faultable);
   void Flush(size_t shard, const std::shared_ptr<SessionState>& s);
@@ -187,9 +150,18 @@ class ReactorEngine {
   const ColumnRegistry* registry_;
   const Database* default_column_;
   ServiceHostOptions options_;
-  HostCounters counters_;
   PublicKeyCache* key_cache_;
   obs::MetricRegistry* metric_registry_;
+
+  // host.* counters in metric_registry_, resolved once.
+  obs::Counter* accepted_;    ///< host.sessions_accepted
+  obs::Counter* ok_;          ///< host.sessions_ok
+  obs::Counter* failed_;      ///< host.sessions_failed
+  obs::Counter* rejected_;    ///< host.sessions_rejected
+  obs::Counter* evicted_;     ///< host.sessions_evicted
+  obs::Counter* queries_;     ///< host.queries_served
+  obs::Counter* compute_ns_;  ///< host.server_compute_ns
+  obs::Gauge* active_;        ///< host.active_sessions
 
   std::vector<Shard> shards_;
   Endpoint endpoint_;  ///< resolved bind address (set by Start)

@@ -2,26 +2,20 @@
 // endpoint.
 //
 // Every session runs the one server protocol, ServerProtocolFsm
-// (core/session_fsm.h); the host picks the transport that drives it.
-// The default engine is the reactor (core/reactor_host.h): a fixed set
-// of event-loop threads owns every socket non-blocking and flushes each
-// session's outbox with gathered sendmsg() calls, so the thread count
-// stays flat in the client count. The threaded engine gives each
-// connection its own thread running the blocking ServerSession::Serve.
-// Under either engine the homomorphic folds share the process-wide
-// ThreadPool, so CPU parallelism is bounded regardless of how many
-// clients connect, and client public keys are deserialized through one
-// shared PublicKeyCache, so repeat sessions from the same client skip
-// the Montgomery-context rebuild.
+// (core/session_fsm.h), driven by the one serving engine, the reactor
+// (core/reactor_host.h): a fixed set of event-loop threads owns every
+// socket non-blocking and flushes each session's outbox with gathered
+// sendmsg() calls, so the thread count stays flat in the client count.
+// The homomorphic folds share the process-wide ThreadPool, so CPU
+// parallelism is bounded regardless of how many clients connect, and
+// client public keys are deserialized through one shared
+// PublicKeyCache, so repeat sessions from the same client skip the
+// Montgomery-context rebuild.
 //
 // Robustness layer (the daemon must survive slow, crashing, and
 // malformed clients):
 //  * Per-session I/O deadlines (io_deadline_ms) evict a client that
 //    stalls mid-protocol instead of pinning its session forever.
-//  * Threaded engine: a session reaper joins finished session threads
-//    promptly, so a long-running daemon's thread count returns to
-//    baseline between clients instead of accumulating handles until
-//    Stop().
 //  * max_sessions caps concurrency; over-limit connects are answered
 //    with a ResourceExhausted Error frame and closed, which clients
 //    treat as retryable (net/retry.h).
@@ -47,12 +41,10 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -65,16 +57,6 @@
 namespace ppstats {
 
 class ReactorEngine;
-
-/// Which concurrency engine serves sessions.
-enum class ServiceEngine : uint8_t {
-  /// One blocking thread per session (the original host).
-  kThreaded,
-  /// Event-driven: a fixed set of reactor threads owns every socket
-  /// non-blocking and folds run on the shared work-stealing ThreadPool
-  /// (core/reactor_host.h). Thread count stays flat in the client count.
-  kReactor,
-};
 
 /// Host configuration.
 struct ServiceHostOptions {
@@ -97,14 +79,14 @@ struct ServiceHostOptions {
   /// Kernel listen(2) backlog for the socket listener.
   int accept_backlog = 16;
 
-  /// When set, every session channel is wrapped in a
-  /// FaultInjectingChannel seeded with fault_seed + session index, so
-  /// chaos tests can inject deterministic faults into the server's send
-  /// path (ServerHello / QueryAccept / SumResponse frames).
+  /// When set, every session's send path runs a fault plan
+  /// (net/fault_injection.h) seeded with fault_seed + session index, so
+  /// chaos tests can inject deterministic faults into the server's
+  /// ServerHello / QueryAccept / SumResponse frames.
   std::optional<FaultInjectionOptions> fault_injection;
   uint64_t fault_seed = 0;
 
-  /// Test hook, consulted before each blocking accept. A non-OK return
+  /// Test hook, consulted before each accept. A non-OK return
   /// is handled exactly like a failed accept() with that status. Chaos
   /// tests use it to simulate fd exhaustion (EMFILE/ENFILE), which
   /// cannot be forced reliably from user space: some kernels (and
@@ -123,32 +105,27 @@ struct ServiceHostOptions {
   /// set).
   uint32_t stats_interval_ms = 0;
 
-  /// Session concurrency engine. Both engines drive the same
-  /// ServerProtocolFsm and share deadline, rejection, and counter
-  /// semantics.
-  ServiceEngine engine = ServiceEngine::kReactor;
-
-  /// Reactor engine: number of event-loop threads. Every shard owns its
-  /// own listener (SO_REUSEPORT for tcp, a dup()'d description for
-  /// unix), and a session is served by the shard that accepted it.
+  /// Number of event-loop threads. Every shard owns its own listener
+  /// (SO_REUSEPORT for tcp, a dup()'d description for unix), and a
+  /// session is served by the shard that accepted it.
   size_t reactor_threads = 1;
 
-  /// Reactor engine: backend wait batch size (epoll_wait maxevents).
+  /// Backend wait batch size (epoll_wait maxevents).
   int max_events = 64;
 
-  /// Reactor engine: use the portable poll(2) backend even where epoll
-  /// is available (exercised by tests).
+  /// Use the portable poll(2) backend even where epoll is available
+  /// (exercised by tests).
   bool force_poll_backend = false;
 
-  /// Reactor engine: bound on ThreadPool tasks queued by session frame
-  /// processing. When the pool backlog reaches this depth, new frames
-  /// wait in their session's inbox instead of piling onto the pool
-  /// (backpressure, not rejection). 0 = unbounded.
+  /// Bound on ThreadPool tasks queued by session frame processing.
+  /// When the pool backlog reaches this depth, new frames wait in their
+  /// session's inbox instead of piling onto the pool (backpressure, not
+  /// rejection). 0 = unbounded.
   size_t fold_queue_depth = 0;
 
-  /// SO_SNDBUF for accepted session sockets, both engines. 0 keeps the
-  /// kernel default; tests set tiny values to force partial writes
-  /// (the kernel clamps to its floor, ~4.6KB on Linux).
+  /// SO_SNDBUF for accepted session sockets. 0 keeps the kernel
+  /// default; tests set tiny values to force partial writes (the kernel
+  /// clamps to its floor, ~4.6KB on Linux).
   int so_sndbuf = 0;
 
   /// When set, each session's query resolution/execution is delegated
@@ -203,25 +180,23 @@ class ServiceHost {
   /// Clients can dial this string verbatim (net/retry.h UriDialer).
   std::string bound_uri() const { return bound_endpoint_.ToUri(); }
 
-  /// Unblocks the accept loop and drains: sessions already in flight run
-  /// to completion (bounded by io_deadline_ms when set), their threads
-  /// are reaped, and every host thread is joined. Idempotent.
+  /// Stops accepting and drains: sessions already in flight run to
+  /// completion (bounded by io_deadline_ms when set, and a session
+  /// awaiting a cluster fan-out by its legs' shard I/O deadline), and
+  /// every host thread is joined. Idempotent.
   void Stop() PPSTATS_EXCLUDES(mu_);
 
-  bool running() const {
-    return accept_thread_.joinable() || reactor_engine_ != nullptr;
-  }
+  bool running() const { return reactor_engine_ != nullptr; }
 
-  /// Sessions accepted and not yet ended; rejected connects are not
-  /// counted. Under the reactor engine (the default) these are the
-  /// sessions a shard has accepted and not yet closed; under the
-  /// threaded engine, the live session threads. A connection still in
-  /// the kernel's listen backlog is not counted, so zero does not mean
-  /// that no client is connected: a test must first see its session
-  /// accepted (SnapshotStats().sessions_accepted) before it waits for
-  /// zero. Both engines count a session's outcome (sessions_ok or
-  /// sessions_failed) before they drop it from this count.
-  size_t active_sessions() const PPSTATS_EXCLUDES(mu_);
+  /// Sessions accepted and not yet ended: those a reactor shard has
+  /// accepted and not yet closed. Rejected connects are not counted. A
+  /// connection still in the kernel's listen backlog is not counted
+  /// either, so zero does not mean that no client is connected: a test
+  /// must first see its session accepted
+  /// (SnapshotStats().sessions_accepted) before it waits for zero. A
+  /// session's outcome (sessions_ok or sessions_failed) is counted
+  /// before it drops from this count.
+  size_t active_sessions() const;
 
   /// Live, race-free view of the host's counters: safe to call at any
   /// moment, including while sessions are mid-query. A query whose
@@ -237,23 +212,16 @@ class ServiceHost {
   obs::MetricRegistry& metric_registry() { return metric_registry_; }
 
  private:
-  void AcceptLoop() PPSTATS_EXCLUDES(mu_);
-  void ReaperLoop() PPSTATS_EXCLUDES(mu_);
   void DumperLoop() PPSTATS_EXCLUDES(mu_);
-  void ServeOne(Channel& channel);
-  void RejectOverCapacity(std::unique_ptr<Channel> channel);
   void WriteStatsJson() const;
 
   const ColumnRegistry* registry_;
   ServiceHostOptions options_;
   const Database* default_column_ = nullptr;  // resolved at Start
   PublicKeyCache key_cache_;
-  /// Non-null while running with engine == kReactor; created per Start.
+  /// Non-null while running; created per Start.
   std::unique_ptr<ReactorEngine> reactor_engine_;
-  std::optional<SocketListener> listener_;
   Endpoint bound_endpoint_;  ///< resolved listen address (set by Start)
-  std::thread accept_thread_;
-  std::thread reaper_thread_;
   std::thread dumper_thread_;
   std::chrono::steady_clock::time_point started_at_{};
 
@@ -267,19 +235,10 @@ class ServiceHost {
   obs::Counter* sessions_evicted_;
   obs::Counter* queries_served_;
   obs::Counter* compute_ns_;
-  obs::Gauge* active_gauge_;
 
   mutable Mutex mu_;
-  /// Live session threads, keyed by session id.
-  std::map<uint64_t, std::thread> sessions_ PPSTATS_GUARDED_BY(mu_);
-  /// Done session threads, awaiting join by the reaper.
-  std::vector<std::thread> finished_ PPSTATS_GUARDED_BY(mu_);
-  CondVar reaper_cv_;
   CondVar dumper_cv_;
-  uint64_t next_session_id_ PPSTATS_GUARDED_BY(mu_) = 0;
   bool stopping_ PPSTATS_GUARDED_BY(mu_) = false;
-  /// Accept loop gone; the reaper exits when idle.
-  bool draining_ PPSTATS_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace ppstats

@@ -1,6 +1,9 @@
 #include "core/session.h"
 
 #include <chrono>
+#include <functional>
+#include <future>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -26,6 +29,39 @@ struct RetryCounters {
 RetryCounters& Retries() {
   static RetryCounters* counters = new RetryCounters();  // leaked on purpose
   return *counters;
+}
+
+// The retry loop behind every retrying entry point: dials, runs
+// `attempt` on the fresh channel, and backs off (RetryBackoffMs drawn
+// from `rng`) after each retryable failure. Returns the first success
+// or non-retryable failure, else the last failure. Resets and fills
+// `metrics` and the process-wide retry.* counters.
+Status RetryDialed(
+    const ChannelFactory& dial, const RetryOptions& retry, RandomSource& rng,
+    RetryMetrics* metrics,
+    const std::function<Status(std::unique_ptr<Channel>&)>& attempt) {
+  *metrics = {};
+  size_t max_attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
+  Status last = Status::Internal("no connection attempt was made");
+  for (size_t n = 1; n <= max_attempts; ++n) {
+    if (n > 1) {
+      uint32_t backoff = RetryBackoffMs(n - 1, retry, rng);
+      metrics->backoff_ms_total += backoff;
+      Retries().backoff_ms->Add(backoff);
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
+    }
+    ++metrics->attempts;
+    Retries().attempts->Increment();
+    obs::ObsSpan attempt_span(obs::kSpanRetryAttempt);
+    Result<std::unique_ptr<Channel>> channel = dial();
+    Status status = channel.ok() ? attempt(*channel) : channel.status();
+    attempt_span.Stop();
+    if (status.ok() || !IsRetryableStatus(status)) return status;
+    ++metrics->retryable_failures;
+    Retries().retryable_failures->Increment();
+    last = status;
+  }
+  return last;
 }
 
 // Sends an Error frame; returns the original status for propagation.
@@ -108,28 +144,14 @@ Result<BigInt> ClientSession::RunWithRetry(const ChannelFactory& dial,
         "session already ran; a ClientSession is single-shot");
   }
   ran_ = true;
-  retry_metrics_ = {};
-  size_t max_attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
-  Status last = Status::Internal("no connection attempt was made");
-  for (size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (attempt > 1) {
-      uint32_t backoff = RetryBackoffMs(attempt - 1, retry, *rng_);
-      retry_metrics_.backoff_ms_total += backoff;
-      Retries().backoff_ms->Add(backoff);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    }
-    ++retry_metrics_.attempts;
-    Retries().attempts->Increment();
-    obs::ObsSpan attempt_span(obs::kSpanRetryAttempt);
-    Result<std::unique_ptr<Channel>> channel = dial();
-    Result<BigInt> sum = channel.ok() ? RunOnce(**channel) : channel.status();
-    attempt_span.Stop();
-    if (sum.ok() || !IsRetryableStatus(sum.status())) return sum;
-    ++retry_metrics_.retryable_failures;
-    Retries().retryable_failures->Increment();
-    last = sum.status();
-  }
-  return last;
+  Result<BigInt> sum = Status::Internal("no connection attempt was made");
+  PPSTATS_RETURN_IF_ERROR(RetryDialed(
+      dial, retry, *rng_, &retry_metrics_,
+      [&](std::unique_ptr<Channel>& channel) {
+        sum = RunOnce(*channel);
+        return sum.status();
+      }));
+  return sum;
 }
 
 Result<BigInt> ClientSession::RunWithRetry(const std::string& uri,
@@ -206,32 +228,13 @@ Status QuerySession::ConnectWithRetry(const ChannelFactory& dial,
   if (channel_ != nullptr) {
     return Status::FailedPrecondition("session already connected");
   }
-  retry_metrics_ = {};
-  size_t max_attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
-  Status last = Status::Internal("no connection attempt was made");
-  for (size_t attempt = 1; attempt <= max_attempts; ++attempt) {
-    if (attempt > 1) {
-      uint32_t backoff = RetryBackoffMs(attempt - 1, retry, *rng_);
-      retry_metrics_.backoff_ms_total += backoff;
-      Retries().backoff_ms->Add(backoff);
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
-    }
-    ++retry_metrics_.attempts;
-    Retries().attempts->Increment();
-    obs::ObsSpan attempt_span(obs::kSpanRetryAttempt);
-    Result<std::unique_ptr<Channel>> channel = dial();
-    Status status = channel.ok() ? Connect(**channel) : channel.status();
-    attempt_span.Stop();
-    if (status.ok()) {
-      owned_channel_ = std::move(*channel);  // keep the dialed transport
-      return status;
-    }
-    if (!IsRetryableStatus(status)) return status;
-    ++retry_metrics_.retryable_failures;
-    Retries().retryable_failures->Increment();
-    last = status;
-  }
-  return last;
+  return RetryDialed(dial, retry, *rng_, &retry_metrics_,
+                     [&](std::unique_ptr<Channel>& channel) {
+                       Status status = Connect(*channel);
+                       // Keep the dialed transport.
+                       if (status.ok()) owned_channel_ = std::move(channel);
+                       return status;
+                     });
 }
 
 Status QuerySession::ConnectWithRetry(const std::string& uri,
@@ -335,7 +338,15 @@ Status ServerSession::Serve(Channel& channel) {
     Result<Bytes> frame = channel.Receive();
     ServerFsmOutput out;
     if (frame.ok()) {
-      out = fsm.OnFrame(*frame);
+      // A query that finishes elsewhere delivers its result here, and
+      // Serve waits for it: the FSM, its execution and its router stay
+      // alive until every leg of the query has returned.
+      auto result = std::make_shared<std::promise<Result<Bytes>>>();
+      std::future<Result<Bytes>> pending = result->get_future();
+      out = fsm.OnFrame(*frame, [result](Result<Bytes> r) {
+        result->set_value(std::move(r));
+      });
+      if (out.result_pending) out = fsm.OnQueryResult(pending.get());
     } else if (frame.status().code() == StatusCode::kDeadlineExceeded) {
       out = fsm.OnDeadline();  // the eviction Error frame
     } else {

@@ -69,7 +69,7 @@ struct ClientSessionOptions {
   /// When set, decrypted results are reduced mod this value. Blinded
   /// cluster deployments need it: shard zero-shares only cancel mod M,
   /// so the raw plaintext is total + kM for some 0 <= k < #shards.
-  std::optional<BigInt> result_modulus;
+  std::optional<BigInt> result_modulus = std::nullopt;
 };
 
 /// Shard coverage of the last partial result a session accepted.
@@ -249,10 +249,9 @@ struct ServerSessionOptions {
 
 /// Serves private-sum queries from a column registry (or a single
 /// database) over a blocking channel. Handles exactly one client
-/// session per Serve call; the threaded ServiceHost engine runs many of
-/// these concurrently. The protocol itself is ServerProtocolFsm
-/// (core/session_fsm.h), which the reactor engine drives too; Serve is
-/// only its blocking transport.
+/// session per Serve call (ppstats_server --once). The protocol itself
+/// is ServerProtocolFsm (core/session_fsm.h), which the ServiceHost
+/// reactor drives too; Serve is only its blocking transport.
 class ServerSession {
  public:
   /// Single-column server: `db` is the default (and only) column.

@@ -34,7 +34,8 @@ void ServerProtocolFsm::Abort(ServerFsmOutput& out, Status status) {
   Finish(std::move(status));
 }
 
-ServerFsmOutput ServerProtocolFsm::OnFrame(BytesView frame) {
+ServerFsmOutput ServerProtocolFsm::OnFrame(BytesView frame,
+                                           QueryResultCallback on_result) {
   ServerFsmOutput out;
   switch (phase_) {
     case ServerFsmPhase::kHandshake:
@@ -44,10 +45,26 @@ ServerFsmOutput ServerProtocolFsm::OnFrame(BytesView frame) {
       OnQueryFrame(frame, out);
       break;
     case ServerFsmPhase::kAwaitChunks:
-      OnChunkFrame(frame, out);
+      OnChunkFrame(frame, std::move(on_result), out);
       break;
+    case ServerFsmPhase::kAwaitResult:
+      break;  // the caller holds frames back until OnQueryResult
     case ServerFsmPhase::kDone:
       break;  // late frames are noise; the session is over
+  }
+  out.done = done();
+  out.result_pending = phase_ == ServerFsmPhase::kAwaitResult;
+  return out;
+}
+
+ServerFsmOutput ServerProtocolFsm::OnQueryResult(Result<Bytes> result) {
+  ServerFsmOutput out;
+  if (phase_ == ServerFsmPhase::kAwaitResult) {
+    if (result.ok()) {
+      Answer(out, std::move(*result));
+    } else {
+      Abort(out, result.status());
+    }
   }
   out.done = done();
   return out;
@@ -149,7 +166,9 @@ void ServerProtocolFsm::OnQueryFrame(BytesView frame, ServerFsmOutput& out) {
   phase_ = ServerFsmPhase::kAwaitChunks;
 }
 
-void ServerProtocolFsm::OnChunkFrame(BytesView frame, ServerFsmOutput& out) {
+void ServerProtocolFsm::OnChunkFrame(BytesView frame,
+                                     QueryResultCallback on_result,
+                                     ServerFsmOutput& out) {
   Result<MessageType> type = PeekMessageType(frame);
   if (!type.ok()) return Abort(out, type.status());
   if (*type == MessageType::kError) return Finish(StatusFromErrorFrame(frame));
@@ -158,30 +177,32 @@ void ServerProtocolFsm::OnChunkFrame(BytesView frame, ServerFsmOutput& out) {
   // session.
   obs::ScopedSpanContext context(
       {session_ordinal_, static_cast<uint64_t>(metrics_.queries + 1)});
-  Result<std::optional<Bytes>> response = execution_->HandleRequest(frame);
+  Result<std::optional<Bytes>> response =
+      execution_->HandleRequest(frame, std::move(on_result));
   if (!response.ok()) return Abort(out, response.status());
-  if (response->has_value()) {
-    // Account the query *before* its SumResponse frame is handed to the
-    // caller: by the time the client observes its answer, the host's
-    // live stats already include the query.
-    ++metrics_.queries;
-    metrics_.server_compute_s += execution_->compute_seconds();
-    if (options_.queries_counter != nullptr) {
-      options_.queries_counter->Increment();
-    }
-    if (options_.compute_ns_counter != nullptr) {
-      options_.compute_ns_counter->Add(
-          static_cast<uint64_t>(execution_->compute_seconds() * 1e9));
-    }
-    out.frames.push_back(std::move(**response));
+  if (response->has_value()) return Answer(out, std::move(**response));
+  if (execution_->Finished()) phase_ = ServerFsmPhase::kAwaitResult;
+}
+
+void ServerProtocolFsm::Answer(ServerFsmOutput& out, Bytes response) {
+  // Account the query *before* its response frame is handed to the
+  // caller: by the time the client observes its answer, the host's live
+  // stats already include the query.
+  ++metrics_.queries;
+  metrics_.server_compute_s += execution_->compute_seconds();
+  if (options_.queries_counter != nullptr) {
+    options_.queries_counter->Increment();
   }
-  if (execution_ != nullptr && execution_->Finished()) {
-    execution_.reset();
-    if (version_ == kSessionProtocolV1) {
-      Finish(Status::OK());
-    } else {
-      phase_ = ServerFsmPhase::kAwaitQuery;
-    }
+  if (options_.compute_ns_counter != nullptr) {
+    options_.compute_ns_counter->Add(
+        static_cast<uint64_t>(execution_->compute_seconds() * 1e9));
+  }
+  out.frames.push_back(std::move(response));
+  execution_.reset();
+  if (version_ == kSessionProtocolV1) {
+    Finish(Status::OK());
+  } else {
+    phase_ = ServerFsmPhase::kAwaitQuery;
   }
 }
 

@@ -1,10 +1,10 @@
 // ServerProtocolFsm: the server side of the session protocol as a
 // sans-IO state machine — the protocol's only implementation.
 //
-// Two transports drive it. ServerSession::Serve feeds it from blocking
-// channel calls (the threaded host engine and ppstats_server --once);
-// the reactor host (core/reactor_host.h) feeds it from non-blocking
-// sockets. Both see the same explicit transitions over complete frames:
+// Two transports drive it. The reactor host (core/reactor_host.h) feeds
+// it from non-blocking sockets; ServerSession::Serve feeds it from
+// blocking channel calls (ppstats_server --once). Both see the same
+// explicit transitions over complete frames:
 //
 //   kHandshake ──ClientHello──▶ kAwaitQuery          (v2)
 //        │                          │  ▲
@@ -26,6 +26,11 @@
 // counters — queries_counter is bumped *before* the SumResponse frame
 // is handed back, so a client that has its answer is guaranteed to
 // find the query in the host's snapshot.
+//
+// A query that finishes elsewhere (the cluster coordinator's fan-out,
+// core/query_exec.h) parks the FSM in kAwaitResult between its last
+// IndexBatch and its response; OnQueryResult then answers it on the
+// synchronous path.
 
 #ifndef PPSTATS_CORE_SESSION_FSM_H_
 #define PPSTATS_CORE_SESSION_FSM_H_
@@ -48,14 +53,17 @@ enum class ServerFsmPhase : uint8_t {
   kHandshake,    ///< waiting for ClientHello
   kAwaitQuery,   ///< v2: waiting for QueryHeader / Goodbye
   kAwaitChunks,  ///< waiting for IndexBatch frames of the open query
+  kAwaitResult,  ///< the open query finishes elsewhere; see OnQueryResult
   kDone,         ///< terminal; final_status() says how it ended
 };
 
 /// What one FSM entry point produced: frames to send, in order, and
-/// whether the session reached its terminal state.
+/// whether the session reached its terminal state or waits for a query
+/// result (then the caller's next call is OnQueryResult).
 struct ServerFsmOutput {
   std::vector<Bytes> frames;
   bool done = false;
+  bool result_pending = false;
 };
 
 /// See the file comment. Not thread-safe: the owner must serialize
@@ -68,8 +76,15 @@ class ServerProtocolFsm {
                     ServerSessionOptions options, uint64_t session_ordinal = 0);
 
   /// Consumes one complete inbound frame. CPU-heavy; run off the event
-  /// loop. Frames arriving after kDone are ignored.
-  ServerFsmOutput OnFrame(BytesView frame);
+  /// loop. Frames arriving after kDone are ignored. When the output
+  /// reports result_pending, pass the result that reaches `on_result`
+  /// (once, from any thread) to OnQueryResult, and nothing else before.
+  ServerFsmOutput OnFrame(BytesView frame,
+                          QueryResultCallback on_result = nullptr);
+
+  /// The pending query's result (see OnFrame): accounts the query and
+  /// produces its response frame, or the Error frame for a failure.
+  ServerFsmOutput OnQueryResult(Result<Bytes> result);
 
   /// The peer stalled past its I/O deadline: produces the eviction
   /// Error frame and moves to kDone with DeadlineExceeded.
@@ -97,7 +112,10 @@ class ServerProtocolFsm {
 
   void OnHandshakeFrame(BytesView frame, ServerFsmOutput& out);
   void OnQueryFrame(BytesView frame, ServerFsmOutput& out);
-  void OnChunkFrame(BytesView frame, ServerFsmOutput& out);
+  void OnChunkFrame(BytesView frame, QueryResultCallback on_result,
+                    ServerFsmOutput& out);
+  /// Accounts the open query and appends its response frame.
+  void Answer(ServerFsmOutput& out, Bytes response);
   /// Opens the v1 implicit query (plain sum over the default column).
   void OpenV1Query(ServerFsmOutput& out);
 

@@ -1,6 +1,6 @@
 // Cluster subsystem tests: shard maps, zero-share blinding, the wire
 // extensions, and in-process coordinator fan-out over real sockets
-// against real shard ServiceHosts (both engines).
+// against real shard ServiceHosts.
 
 #include "cluster/coordinator.h"
 
@@ -290,7 +290,6 @@ struct TestCluster {
   std::vector<std::unique_ptr<ColumnRegistry>> shard_registries;
   std::vector<std::unique_ptr<ServiceHost>> shard_hosts;
   ColumnRegistry map_registry;
-  std::unique_ptr<ThreadPool> pool;  ///< fan-out legs, kept off Shared()
   std::unique_ptr<ShardCoordinator> coordinator;
   std::unique_ptr<ServiceHost> coordinator_host;
 
@@ -305,7 +304,6 @@ struct TestCluster {
 struct TestClusterConfig {
   size_t shards = 4;
   size_t rows_per_shard = 8;
-  ServiceEngine engine = ServiceEngine::kThreaded;
   bool blind = false;
   PartialResultPolicy policy = PartialResultPolicy::kFail;
   size_t shard_attempts = 1;
@@ -327,14 +325,6 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
     auto registry = std::make_unique<ColumnRegistry>();
     EXPECT_TRUE(registry->Register(Database("v", slice)).ok());
     ServiceHostOptions options;
-    // Shard hosts stay threaded: the reactor engine folds on the
-    // process-wide shared pool, and on a 1-core box the coordinator's
-    // blocking fan-out (also a shared-pool task under the reactor
-    // engine) would starve co-located reactor shards of that worker.
-    // The engine parameter exercises the coordinator host, which is
-    // the code path this suite adds; shard hosts are ordinary servers
-    // covered by ServiceHostTest and, cross-process, by the e2e test.
-    options.engine = ServiceEngine::kThreaded;
     if (config.blind) {
       ShardBlindConfig blind;
       blind.shard_index = static_cast<uint32_t>(i);
@@ -355,17 +345,12 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
   }
   EXPECT_TRUE(cluster->map_registry.SetShards("v", std::move(shards)).ok());
 
-  // A dedicated fan-out pool: legs do blocking upstream I/O, and on a
-  // small machine parking them on Shared() could starve the shard
-  // hosts' own fold tasks mid-test.
-  cluster->pool = std::make_unique<ThreadPool>(config.shards);
   CoordinatorOptions coordinator_options;
   coordinator_options.shard_attempts = config.shard_attempts;
   coordinator_options.shard_io_deadline_ms = config.shard_io_deadline_ms;
   coordinator_options.retry.initial_backoff_ms = 1;
   coordinator_options.retry.max_backoff_ms = 5;
   coordinator_options.partial_policy = config.policy;
-  coordinator_options.pool = cluster->pool.get();
   if (config.blind) {
     coordinator_options.blind_partials = true;
     coordinator_options.blind_seed = blind_seed;
@@ -376,7 +361,6 @@ std::unique_ptr<TestCluster> StartCluster(const std::string& tag,
   EXPECT_TRUE(cluster->coordinator->Validate().ok());
 
   ServiceHostOptions host_options;
-  host_options.engine = config.engine;
   host_options.router_factory = cluster->coordinator->RouterFactory();
   cluster->coordinator_host = std::make_unique<ServiceHost>(
       &cluster->map_registry, host_options);
@@ -395,20 +379,9 @@ uint64_t ExpectedSum(const std::vector<uint32_t>& values,
   return sum;
 }
 
-class ClusterServiceTest : public ::testing::TestWithParam<ServiceEngine> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ClusterServiceTest,
-    ::testing::Values(ServiceEngine::kThreaded, ServiceEngine::kReactor),
-    [](const ::testing::TestParamInfo<ServiceEngine>& info) {
-      return info.param == ServiceEngine::kReactor ? "Reactor" : "Threaded";
-    });
-
-TEST_P(ClusterServiceTest, FansOutAndMergesAcrossFourShards) {
+TEST(ClusterServiceTest, FansOutAndMergesAcrossFourShards) {
   TestClusterConfig config;
-  config.engine = GetParam();
-  auto cluster = StartCluster(
-      GetParam() == ServiceEngine::kReactor ? "fan_r" : "fan_t", config);
+  auto cluster = StartCluster("fan", config);
   const size_t rows = cluster->values.size();
 
   ChaCha20Rng rng(11);
@@ -449,12 +422,10 @@ TEST_P(ClusterServiceTest, FansOutAndMergesAcrossFourShards) {
   EXPECT_TRUE(session.Finish().ok());
 }
 
-TEST_P(ClusterServiceTest, BlindedPartialsStillMergeToTheTrueSum) {
+TEST(ClusterServiceTest, BlindedPartialsStillMergeToTheTrueSum) {
   TestClusterConfig config;
-  config.engine = GetParam();
   config.blind = true;
-  auto cluster = StartCluster(
-      GetParam() == ServiceEngine::kReactor ? "blind_r" : "blind_t", config);
+  auto cluster = StartCluster("blind", config);
   const size_t rows = cluster->values.size();
 
   ChaCha20Rng rng(12);
@@ -477,12 +448,10 @@ TEST_P(ClusterServiceTest, BlindedPartialsStillMergeToTheTrueSum) {
   EXPECT_TRUE(session.Finish().ok());
 }
 
-TEST_P(ClusterServiceTest, RejectsUnknownColumns) {
+TEST(ClusterServiceTest, RejectsUnknownColumns) {
   TestClusterConfig config;
   config.shards = 2;
-  config.engine = GetParam();
-  auto cluster = StartCluster(
-      GetParam() == ServiceEngine::kReactor ? "rej_r" : "rej_t", config);
+  auto cluster = StartCluster("rej", config);
   const size_t rows = cluster->values.size();
 
   ChaCha20Rng rng(13);
@@ -500,12 +469,10 @@ TEST_P(ClusterServiceTest, RejectsUnknownColumns) {
             std::string::npos);
 }
 
-TEST_P(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
+TEST(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
   TestClusterConfig config;
   config.shards = 2;
-  config.engine = GetParam();
-  auto cluster = StartCluster(
-      GetParam() == ServiceEngine::kReactor ? "v1_r" : "v1_t", config);
+  auto cluster = StartCluster("v1", config);
   const size_t rows = cluster->values.size();
 
   SelectionVector selection(rows, false);
@@ -527,15 +494,21 @@ TEST_P(ClusterServiceTest, V1ClientsGetTheDefaultColumnFanOut) {
 // shard folds those legs wait for once every worker holds one.
 
 // Holds each client's IndexBatch until every client is ready to send
-// its own, so all fan-outs are in flight together.
+// its own, so all fan-outs are in flight together. A client that ends
+// before its upload still counts itself in, so the others never wait
+// on it.
 class LatchedChannel : public Channel {
  public:
   LatchedChannel(std::unique_ptr<Channel> inner, std::latch* upload_gate)
       : inner_(std::move(inner)), upload_gate_(upload_gate) {}
+  ~LatchedChannel() override {
+    if (!arrived_) upload_gate_->count_down();
+  }
 
   Status Send(BytesView message) override {
     Result<MessageType> type = PeekMessageType(message);
-    if (type.ok() && *type == MessageType::kIndexBatch) {
+    if (!arrived_ && type.ok() && *type == MessageType::kIndexBatch) {
+      arrived_ = true;
       upload_gate_->arrive_and_wait();
     }
     return inner_->Send(message);
@@ -546,48 +519,16 @@ class LatchedChannel : public Channel {
  private:
   std::unique_ptr<Channel> inner_;
   std::latch* upload_gate_;
+  bool arrived_ = false;
 };
 
 TEST(ClusterSelfWaitTest, MoreConcurrentFanOutsThanSharedWorkersAllAnswer) {
-  constexpr size_t kShards = 4;
-  constexpr size_t kRowsPerShard = 8;
-  std::vector<uint32_t> values;
-  std::vector<std::unique_ptr<ColumnRegistry>> shard_registries;
-  std::vector<std::unique_ptr<ServiceHost>> shard_hosts;
-  std::vector<ShardDescriptor> shards;
-  for (size_t i = 0; i < kShards; ++i) {
-    std::vector<uint32_t> slice(kRowsPerShard);
-    for (size_t r = 0; r < slice.size(); ++r) {
-      slice[r] = static_cast<uint32_t>(10 * (i * kRowsPerShard + r) + 1);
-      values.push_back(slice[r]);
-    }
-    auto registry = std::make_unique<ColumnRegistry>();
-    ASSERT_TRUE(registry->Register(Database("v", slice)).ok());
-    auto host = std::make_unique<ServiceHost>(registry.get());
-    ASSERT_TRUE(host->Start("unix:" + std::string(::testing::TempDir()) +
-                            "/cl_sw_s" + std::to_string(i) + ".sock")
-                    .ok());
-    shards.push_back(MakeShard(static_cast<uint32_t>(i), host->bound_uri(),
-                               i * kRowsPerShard, (i + 1) * kRowsPerShard));
-    shard_registries.push_back(std::move(registry));
-    shard_hosts.push_back(std::move(host));
-  }
-  ColumnRegistry map_registry;
-  ASSERT_TRUE(map_registry.SetShards("v", std::move(shards)).ok());
-  CoordinatorOptions coordinator_options;
-  coordinator_options.shard_attempts = 1;
-  // Bounds the starved legs, so a self-waiting coordinator fails the
-  // queries instead of hanging the test.
-  coordinator_options.shard_io_deadline_ms = 5000;
-  ShardCoordinator coordinator(&map_registry, coordinator_options);
-  ASSERT_TRUE(coordinator.Validate().ok());
-  ServiceHostOptions host_options;
-  host_options.router_factory = coordinator.RouterFactory();
-  ServiceHost coordinator_host(&map_registry, host_options);
-  ASSERT_TRUE(coordinator_host
-                  .Start("unix:" + std::string(::testing::TempDir()) +
-                         "/cl_sw_coord.sock")
-                  .ok());
+  // One attempt per leg under the suite's 5 s shard deadline: a
+  // self-waiting coordinator fails the queries instead of hanging.
+  TestClusterConfig config;
+  auto cluster = StartCluster("selfwait", config);
+  const std::vector<uint32_t>& values = cluster->values;
+  const std::string coordinator_uri = cluster->coordinator_host->bound_uri();
 
   const size_t clients = ThreadPool::Shared().thread_count() + 1;
   std::latch upload_gate(static_cast<std::ptrdiff_t>(clients));
@@ -603,7 +544,7 @@ TEST(ClusterSelfWaitTest, MoreConcurrentFanOutsThanSharedWorkersAllAnswer) {
   for (size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       Result<std::unique_ptr<Channel>> dialed =
-          UriDialer(coordinator_host.bound_uri())();
+          UriDialer(coordinator_uri)();
       if (!dialed.ok()) {
         upload_gate.count_down();
         totals[c] = dialed.status();
@@ -614,7 +555,6 @@ TEST(ClusterSelfWaitTest, MoreConcurrentFanOutsThanSharedWorkersAllAnswer) {
       QuerySession session(SharedKeyPair().private_key, rng);
       Status connected = session.Connect(channel);
       if (!connected.ok()) {
-        upload_gate.count_down();
         totals[c] = connected;
         return;
       }
@@ -630,8 +570,6 @@ TEST(ClusterSelfWaitTest, MoreConcurrentFanOutsThanSharedWorkersAllAnswer) {
                                 << totals[c].status().ToString();
     EXPECT_EQ(*totals[c], BigInt(ExpectedSum(values, selections[c])));
   }
-  coordinator_host.Stop();
-  for (auto& host : shard_hosts) host->Stop();
 }
 
 // ---------------------------------------------------------------------------

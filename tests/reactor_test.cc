@@ -1,8 +1,8 @@
-// Unit coverage for the event-driven stack introduced with the reactor
-// ServiceHost engine: the hashed timer wheel, the reactor loop itself,
-// the sans-IO server protocol FSM, and — the property the whole design
-// exists for — thousands of simultaneous idle/slow clients served with
-// a flat process thread count.
+// Unit coverage for the event-driven stack behind ServiceHost: the
+// hashed timer wheel, the reactor loop itself, the sans-IO server
+// protocol FSM, and — the property the whole design exists for —
+// thousands of simultaneous idle/slow clients served with a flat
+// process thread count.
 
 #include "net/reactor.h"
 
@@ -25,11 +25,16 @@
 
 #include "common/mutex.h"
 #include "core/messages.h"
+#include "core/query_exec.h"
+#include "core/selected_sum.h"
 #include "core/service_host.h"
+#include "core/session.h"
 #include "core/session_fsm.h"
 #include "crypto/chacha20_rng.h"
 #include "crypto/key_io.h"
+#include "net/channel.h"
 #include "net/socket_channel.h"
+#include "obs/metrics.h"
 
 namespace ppstats {
 namespace {
@@ -412,6 +417,168 @@ TEST_F(ServerFsmTest, NoDatabaseFailsLocallyWithoutAFrame) {
   EXPECT_EQ(fsm.final_status().code(), StatusCode::kFailedPrecondition);
 }
 
+// A query that finishes elsewhere, like a cluster fan-out: the local
+// fold runs as usual, but HandleRequest returns without the response
+// and `deliver` receives it together with the driver's callback.
+using Deliver = std::function<void(QueryResultCallback, Result<Bytes>)>;
+
+class DeferredExecution : public QueryExecution {
+ public:
+  DeferredExecution(std::unique_ptr<QueryExecution> inner, Deliver deliver)
+      : inner_(std::move(inner)), deliver_(std::move(deliver)) {}
+
+  Result<std::optional<Bytes>> HandleRequest(
+      BytesView frame, QueryResultCallback on_result) override {
+    PPSTATS_ASSIGN_OR_RETURN(std::optional<Bytes> response,
+                             inner_->HandleRequest(frame, nullptr));
+    if (response.has_value()) {
+      deliver_(std::move(on_result), std::move(*response));
+    }
+    return std::optional<Bytes>();
+  }
+  bool Finished() const override { return inner_->Finished(); }
+  double compute_seconds() const override { return inner_->compute_seconds(); }
+
+ private:
+  std::unique_ptr<QueryExecution> inner_;
+  Deliver deliver_;
+};
+
+class DeferredRouter : public QueryRouter {
+ public:
+  DeferredRouter(const ColumnRegistry* registry, const Database* default_column,
+                 Deliver deliver)
+      : local_(registry, [&] {
+          LocalRouterConfig config;
+          config.default_column = default_column;
+          return config;
+        }()),
+        deliver_(std::move(deliver)) {}
+
+  bool HasDefault() const override { return local_.HasDefault(); }
+  uint64_t DefaultRows() const override { return local_.DefaultRows(); }
+  Status OnClientHello(BytesView key_blob,
+                       const PaillierPublicKey& pub) override {
+    return local_.OnClientHello(key_blob, pub);
+  }
+  Result<OpenedQuery> Open(const QueryHeaderMessage& header,
+                           const PaillierPublicKey& pub) override {
+    return Defer(local_.Open(header, pub));
+  }
+  Result<OpenedQuery> OpenDefault(const PaillierPublicKey& pub) override {
+    return Defer(local_.OpenDefault(pub));
+  }
+
+ private:
+  Result<OpenedQuery> Defer(Result<OpenedQuery> opened) {
+    if (opened.ok()) {
+      opened->execution = std::make_unique<DeferredExecution>(
+          std::move(opened->execution), deliver_);
+    }
+    return opened;
+  }
+
+  LocalQueryRouter local_;
+  Deliver deliver_;
+};
+
+TEST_F(ServerFsmTest, LateQueryResultIsAccountedAndAnsweredOnce) {
+  QueryResultCallback execution_callback;
+  Result<Bytes> held = Status::Internal("not delivered");
+  options_.router = std::make_shared<DeferredRouter>(
+      &registry_, options_.default_column,
+      [&](QueryResultCallback on_result, Result<Bytes> response) {
+        execution_callback = std::move(on_result);
+        held = std::move(response);
+      });
+  obs::MetricRegistry metrics;
+  options_.queries_counter = metrics.GetCounter("host.queries_served");
+  ServerProtocolFsm fsm(&registry_, options_);
+  (void)fsm.OnFrame(HelloFrame(kSessionProtocolV2));
+  QueryHeaderMessage header;
+  header.kind = static_cast<uint8_t>(StatisticKind::kSum);
+  header.column = "col";
+
+  // The query's last IndexBatch: no frame yet, and nothing counted.
+  ASSERT_EQ(fsm.OnFrame(header.Encode()).frames.size(), 1u);  // QueryAccept
+  ChaCha20Rng rng(31);
+  SumClient client(FsmKeyPair().private_key, SelectionVector{true, false, true},
+                   {}, rng);
+  std::optional<Result<Bytes>> late;
+  ServerFsmOutput out = fsm.OnFrame(
+      client.NextRequest().ValueOrDie(),
+      [&](Result<Bytes> result) { late.emplace(std::move(result)); });
+  EXPECT_TRUE(out.result_pending);
+  EXPECT_TRUE(out.frames.empty());
+  EXPECT_FALSE(out.done);
+  EXPECT_EQ(fsm.phase(), ServerFsmPhase::kAwaitResult);
+  EXPECT_EQ(options_.queries_counter->Value(), 0u);
+
+  ASSERT_TRUE(execution_callback != nullptr);
+  execution_callback(std::move(held));
+  ASSERT_TRUE(late.has_value());
+  out = fsm.OnQueryResult(std::move(*late));
+  ASSERT_EQ(out.frames.size(), 1u);
+  EXPECT_FALSE(out.result_pending);
+  EXPECT_EQ(client.HandleResponse(out.frames[0]).ValueOrDie(), BigInt(4 + 6));
+  EXPECT_EQ(options_.queries_counter->Value(), 1u);
+  EXPECT_EQ(fsm.metrics().queries, 1u);
+  EXPECT_EQ(fsm.phase(), ServerFsmPhase::kAwaitQuery);
+
+  // A failed late result ends the session with its Error frame.
+  ASSERT_EQ(fsm.OnFrame(header.Encode()).frames.size(), 1u);
+  SumClient second(FsmKeyPair().private_key,
+                   SelectionVector{false, true, false}, {}, rng);
+  out = fsm.OnFrame(second.NextRequest().ValueOrDie(), [](Result<Bytes>) {});
+  ASSERT_TRUE(out.result_pending);
+  out = fsm.OnQueryResult(Status::DeadlineExceeded("shard 0 failed"));
+  ASSERT_EQ(out.frames.size(), 1u);
+  EXPECT_TRUE(out.done);
+  ErrorMessage error = ErrorMessage::Decode(out.frames[0]).ValueOrDie();
+  EXPECT_EQ(static_cast<StatusCode>(error.code),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(fsm.final_status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(options_.queries_counter->Value(), 1u);
+}
+
+TEST(ServerSessionAsyncTest, ServeWaitsForAResultDeliveredFromAnotherThread) {
+  ColumnRegistry registry;
+  ASSERT_TRUE(registry.Register(Database("col", {4, 5, 6})).ok());
+  std::vector<std::thread> deliverers;  // touched by the server thread only
+  ServerSessionOptions options;
+  options.default_column = registry.Find("col");
+  options.router = std::make_shared<DeferredRouter>(
+      &registry, options.default_column,
+      [&](QueryResultCallback on_result, Result<Bytes> response) {
+        deliverers.emplace_back(
+            [on_result = std::move(on_result),
+             response = std::move(response)]() mutable {
+              on_result(std::move(response));
+            });
+      });
+  auto [client_end, server_end] = DuplexPipe::Create();
+  Status served = Status::Internal("not served");
+  std::thread server([&] {
+    ServerSession session(&registry, options);
+    served = session.Serve(*server_end);
+  });
+
+  ChaCha20Rng rng(32);
+  QuerySession session(FsmKeyPair().private_key, rng);
+  ASSERT_TRUE(session.Connect(*client_end).ok());
+  QuerySpec spec;
+  spec.column = "col";
+  EXPECT_EQ(session.RunQuery(spec, {true, true, false}).ValueOrDie(),
+            BigInt(4 + 5));
+  EXPECT_EQ(session.RunQuery(spec, {false, true, true}).ValueOrDie(),
+            BigInt(5 + 6));
+  EXPECT_TRUE(session.Finish().ok());
+  server.join();
+  for (std::thread& t : deliverers) t.join();
+  EXPECT_EQ(deliverers.size(), 2u);
+  EXPECT_TRUE(served.ok()) << served.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // C10k: flat thread count under thousands of idle and slow sessions
 
@@ -430,8 +597,8 @@ int RawConnect(const std::string& path) {
 
 TEST(ReactorC10kTest, ThousandsOfIdleAndSlowClientsFlatThreadCount) {
   // The reactor's raison d'être: N connected-but-useless clients cost
-  // the host zero threads beyond its fixed set. The threaded engine
-  // would need one thread each.
+  // the host zero threads beyond its fixed set. A thread-per-session
+  // host would need one thread each.
   rlimit limit{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
   rlim_t want = std::min<rlim_t>(limit.rlim_max, 8192);
@@ -453,7 +620,6 @@ TEST(ReactorC10kTest, ThousandsOfIdleAndSlowClientsFlatThreadCount) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("col", {1, 2, 3})).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.reactor_threads = 2;
   options.accept_backlog = 256;
   // No I/O deadline: idle clients must be *held*, not evicted.
@@ -532,7 +698,6 @@ TEST(ReactorC10kTest, TcpLoopbackSpreadsAcceptsAcrossShardListeners) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("col", {1, 2, 3})).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.reactor_threads = 2;
   options.accept_backlog = 1024;
   ServiceHost host(&registry, options);

@@ -220,7 +220,8 @@ TEST(RetryTest, ClientSessionRunWithRetry) {
   dialer.db = &db;
   dialer.failures = 1;
   ChaCha20Rng client_rng(7);
-  ClientSession client(SharedKeyPair().private_key, sel, {5}, client_rng);
+  ClientSession client(SharedKeyPair().private_key, sel, {.chunk_size = 5},
+                       client_rng);
   RetryOptions retry;
   retry.max_attempts = 3;
   retry.initial_backoff_ms = 1;

@@ -66,29 +66,12 @@ const PaillierKeyPair& SharedKeyPair() {
   return *kp;
 }
 
-// The whole matrix runs once per engine: chaos seeds must reproduce the
-// same typed outcomes under the blocking and the reactor host.
-class ServiceChaosTest : public ::testing::TestWithParam<ServiceEngine> {
+class ServiceChaosTest : public ::testing::Test {
  protected:
-  ServiceHostOptions BaseOptions() const {
-    ServiceHostOptions options;
-    options.engine = GetParam();
-    return options;
-  }
-
   std::string SocketPath(const std::string& name) const {
-    const char* suffix =
-        GetParam() == ServiceEngine::kReactor ? "_r" : "_t";
-    return std::string(::testing::TempDir()) + "/" + name + suffix + ".sock";
+    return std::string(::testing::TempDir()) + "/" + name + ".sock";
   }
 };
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ServiceChaosTest,
-    ::testing::Values(ServiceEngine::kThreaded, ServiceEngine::kReactor),
-    [](const ::testing::TestParamInfo<ServiceEngine>& info) {
-      return info.param == ServiceEngine::kReactor ? "Reactor" : "Threaded";
-    });
 
 bool WaitFor(const std::function<bool()>& pred,
              milliseconds timeout = seconds(10 * kTimeScale)) {
@@ -104,8 +87,8 @@ bool WaitFor(const std::function<bool()>& pred,
 // failed, and none is being served. A bare wait for active_sessions()
 // == 0 is not enough after a client that may fail before the host
 // accepts its connection: one still in the listen backlog is not
-// counted, so that wait can pass before the session exists. Both
-// engines count a session's outcome before they drop it from
+// counted, so that wait can pass before the session exists. The host
+// counts a session's outcome before it drops the session from
 // active_sessions(), so this cannot pass before the n-th session ends.
 bool WaitForSessionsResolved(const ServiceHost& host, uint64_t n) {
   return WaitFor([&] {
@@ -143,6 +126,7 @@ bool IsTypedOutcome(const Status& status) {
     case StatusCode::kResourceExhausted:
     case StatusCode::kInternal:
     case StatusCode::kDeadlineExceeded:
+    case StatusCode::kAlreadyExists:
       return true;
   }
   return false;
@@ -175,7 +159,8 @@ Status RunChaosClient(const std::string& path,
   }
 
   ChaCha20Rng rng(seed + 9000);
-  QuerySession session(SharedKeyPair().private_key, rng, {kChunk});
+  QuerySession session(SharedKeyPair().private_key, rng,
+                       {.chunk_size = kChunk});
   Status status = session.Connect(*channel);
   if (status.ok()) {
     SelectionVector sel(kRows, false);
@@ -218,13 +203,13 @@ constexpr FaultKind kAllKinds[] = {FaultKind::kDelay, FaultKind::kTruncate,
                                    FaultKind::kGarble, FaultKind::kDrop,
                                    FaultKind::kDisconnect};
 
-TEST_P(ServiceChaosTest, ClientSideFaultMatrix) {
+TEST_F(ServiceChaosTest, ClientSideFaultMatrix) {
   // Fault every client frame class — ClientHello (0), QueryHeader (1),
   // chunk stream (2, 3) — with every fault kind, against one host that
   // must keep serving clean clients throughout.
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = kServerDeadlineMs;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("chaos_client_matrix");
@@ -256,7 +241,7 @@ TEST_P(ServiceChaosTest, ClientSideFaultMatrix) {
   EXPECT_GE(stats.sessions_ok, chaos_runs);
 }
 
-TEST_P(ServiceChaosTest, ServerSideFaultMatrix) {
+TEST_F(ServiceChaosTest, ServerSideFaultMatrix) {
   // Fault every server frame class — ServerHello (0), QueryAccept (1),
   // SumResponse (2) — with every fault kind, via the host's built-in
   // injection hook. Each scenario needs its own host configuration.
@@ -267,7 +252,7 @@ TEST_P(ServiceChaosTest, ServerSideFaultMatrix) {
     for (uint64_t phase : {0u, 1u, 2u}) {
       SCOPED_TRACE("kind=" + std::to_string(static_cast<int>(kind)) +
                    " phase=" + std::to_string(phase));
-      ServiceHostOptions options = BaseOptions();
+      ServiceHostOptions options;
       options.io_deadline_ms = kServerDeadlineMs;
       options.fault_injection = FaultAtPhase(kind, phase);
       options.fault_seed = ++seed;
@@ -285,12 +270,12 @@ TEST_P(ServiceChaosTest, ServerSideFaultMatrix) {
   }
 }
 
-TEST_P(ServiceChaosTest, SixteenSeedRandomSweep) {
+TEST_F(ServiceChaosTest, SixteenSeedRandomSweep) {
   // Random faults (all kinds, 20% per frame) across a fixed sweep of 16
   // seeds: every run must terminate typed and leave the host serving.
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = kServerDeadlineMs;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("chaos_sweep");
@@ -311,13 +296,13 @@ TEST_P(ServiceChaosTest, SixteenSeedRandomSweep) {
   EXPECT_EQ(host.SnapshotStats().sessions_accepted, 17u);
 }
 
-TEST_P(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
+TEST_F(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
   // A raw peer that sends a length header promising a frame it never
   // delivers must be evicted by the I/O deadline, with the typed Error
   // frame on the wire, and the host must keep accepting.
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = kServerDeadlineMs;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("chaos_header");
@@ -345,14 +330,14 @@ TEST_P(ServiceChaosTest, TruncatedHeaderThenSilenceIsEvicted) {
   EXPECT_EQ(host.SnapshotStats().sessions_evicted, 1u);
 }
 
-TEST_P(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
+TEST_F(ServiceChaosTest, ThirtyTwoConcurrentClientsUnderOnePercentFaults) {
   // The acceptance run: 32 concurrent clients, faults injected on both
   // sides of the wire at ~1% per frame. Every client must terminate
   // with a typed status, no session thread may leak, and the host must
   // serve a clean client afterwards.
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(TestColumn()).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = 500 * kTimeScale;
   options.worker_threads = 2;
   FaultInjectionOptions server_faults;  // defaults: 1% rate, all kinds

@@ -74,48 +74,31 @@ const PaillierKeyPair& SharedKeyPair() {
   return *kp;
 }
 
-// The whole suite runs once per engine: both must expose identical
-// protocol, rejection, eviction, restart, and stats behavior.
-class ServiceHostTest : public ::testing::TestWithParam<ServiceEngine> {
+class ServiceHostTest : public ::testing::Test {
  protected:
-  ServiceHostOptions BaseOptions() const {
-    ServiceHostOptions options;
-    options.engine = GetParam();
-    return options;
-  }
-
   std::string SocketPath(const char* name) const {
-    const char* suffix =
-        GetParam() == ServiceEngine::kReactor ? "_r" : "_t";
-    return std::string(::testing::TempDir()) + "/" + name + suffix + ".sock";
+    return std::string(::testing::TempDir()) + "/" + name + ".sock";
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, ServiceHostTest,
-    ::testing::Values(ServiceEngine::kThreaded, ServiceEngine::kReactor),
-    [](const ::testing::TestParamInfo<ServiceEngine>& info) {
-      return info.param == ServiceEngine::kReactor ? "Reactor" : "Threaded";
-    });
-
-TEST_P(ServiceHostTest, StartRequiresColumns) {
+TEST_F(ServiceHostTest, StartRequiresColumns) {
   ColumnRegistry empty;
-  ServiceHost host(&empty, BaseOptions());
+  ServiceHost host(&empty);
   EXPECT_FALSE(host.Start(SocketPath("svc_empty")).ok());
-  ServiceHost null_host(nullptr, BaseOptions());
+  ServiceHost null_host(nullptr);
   EXPECT_FALSE(null_host.Start(SocketPath("svc_null")).ok());
 }
 
-TEST_P(ServiceHostTest, UnknownDefaultColumnRejectedAtStart) {
+TEST_F(ServiceHostTest, UnknownDefaultColumnRejectedAtStart) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("a", {1})).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.default_column = "nope";
   ServiceHost host(&registry, options);
   EXPECT_FALSE(host.Start(SocketPath("svc_baddefault")).ok());
 }
 
-TEST_P(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
+TEST_F(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
   // The tentpole end-to-end check: several clients, each with its own
   // key, hammer one host concurrently over real AF_UNIX sockets, each
   // running multiple queries of mixed kinds on one connection. Every
@@ -128,7 +111,7 @@ TEST_P(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
   ASSERT_TRUE(registry.Register(age).ok());
   ASSERT_TRUE(registry.Register(income).ok());
 
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.default_column = "age";
   options.worker_threads = 2;
   options.reactor_threads = 2;  // exercise multi-shard session pinning
@@ -157,7 +140,7 @@ TEST_P(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
         return;
       }
       QuerySession session(keys[c].private_key, client_rng,
-                           {/*chunk_size=*/static_cast<size_t>(7 + c)});
+                           {.chunk_size = static_cast<size_t>(7 + c)});
       if (!session.Connect(**channel).ok()) {
         ++failures;
         return;
@@ -207,12 +190,12 @@ TEST_P(ServiceHostTest, ConcurrentClientsRunMixedQueries) {
   EXPECT_GT(stats.server_compute_s, 0.0);
 }
 
-TEST_P(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
+TEST_F(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   Database db("d", {5, 6, 7, 8});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
   // Sole column becomes the default.
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_v1");
   ASSERT_TRUE(host.Start(path).ok());
 
@@ -265,11 +248,11 @@ TEST_P(ServiceHostTest, ServesV1ClientsAndCountsFailedSessions) {
   EXPECT_EQ(stats.distinct_client_keys, 1u);
 }
 
-TEST_P(ServiceHostTest, StopIsIdempotentAndRestartable) {
+TEST_F(ServiceHostTest, StopIsIdempotentAndRestartable) {
   Database db("d", {1, 2});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_restart");
   ASSERT_TRUE(host.Start(path).ok());
   EXPECT_TRUE(host.running());
@@ -281,14 +264,13 @@ TEST_P(ServiceHostTest, StopIsIdempotentAndRestartable) {
   host.Stop();
 }
 
-TEST_P(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
-  // Threaded engine: the reaper joins finished session threads while
-  // the host keeps running. Reactor engine: sessions never get a thread
-  // at all, so the count stays at the post-Start baseline throughout.
+TEST_F(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
+  // Sessions never get a thread of their own, so the count stays at the
+  // post-Start baseline throughout.
   Database db("d", {1, 2, 3, 4});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_reaper");
   ASSERT_TRUE(host.Start(path).ok());
   size_t baseline = CountProcessThreads();
@@ -315,11 +297,11 @@ TEST_P(ServiceHostTest, ThreadCountReturnsToBaselineBetweenClients) {
   EXPECT_EQ(stats.sessions_ok, static_cast<uint64_t>(kClients));
 }
 
-TEST_P(ServiceHostTest, SilentClientEvictedWithinDeadline) {
+TEST_F(ServiceHostTest, SilentClientEvictedWithinDeadline) {
   Database db("d", {1, 2});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = 100;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("svc_evict");
@@ -348,14 +330,14 @@ TEST_P(ServiceHostTest, SilentClientEvictedWithinDeadline) {
   EXPECT_EQ(stats.sessions_evicted, 1u);
 }
 
-TEST_P(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
+TEST_F(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
   // The deadline is per whole frame, not per byte: a client feeding one
   // byte at a time (classic Slowloris) must still be evicted, because
   // partial progress never resets the frame deadline.
   Database db("d", {1, 2});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.io_deadline_ms = 150;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("svc_slowloris");
@@ -386,11 +368,11 @@ TEST_P(ServiceHostTest, SlowlorisTricklerEvictedDespiteSteadyBytes) {
   EXPECT_EQ(stats.sessions_evicted, 1u);
 }
 
-TEST_P(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
+TEST_F(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   Database db("d", {3, 4, 5});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.max_sessions = 1;
   ServiceHost host(&registry, options);
   std::string path = SocketPath("svc_cap");
@@ -435,8 +417,8 @@ TEST_P(ServiceHostTest, OverCapacityConnectGetsTypedRejection) {
   EXPECT_EQ(stats.sessions_ok, 2u);
 }
 
-TEST_P(ServiceHostTest, AcceptLoopSurvivesFdExhaustion) {
-  // Regression: the accept loop used to exit permanently on any
+TEST_F(ServiceHostTest, AcceptSurvivesFdExhaustion) {
+  // Regression: accepting used to stop permanently on any
   // accept() failure, so one EMFILE burst silently killed the daemon.
   // Real fd exhaustion cannot be forced portably (sandboxed kernels
   // skip the RLIMIT_NOFILE check on accept's fd allocation), so the
@@ -447,7 +429,7 @@ TEST_P(ServiceHostTest, AcceptLoopSurvivesFdExhaustion) {
   ASSERT_TRUE(registry.Register(db).ok());
   std::atomic<int> bursts_left{5};
   std::atomic<int> injected{0};
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.accept_fault_hook = [&]() -> Status {
     if (bursts_left.load() > 0) {
       bursts_left.fetch_sub(1);
@@ -478,13 +460,13 @@ TEST_P(ServiceHostTest, AcceptLoopSurvivesFdExhaustion) {
   EXPECT_EQ(host.SnapshotStats().sessions_ok, 1u);
 }
 
-TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
+TEST_F(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
   // Regression: Stop() + Start() used to keep the previous run's stats
   // and cached client keys.
   Database db("d", {9, 10});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_reset");
   ASSERT_TRUE(host.Start(path).ok());
   {
@@ -518,7 +500,7 @@ TEST_P(ServiceHostTest, RestartOnSamePathResetsPerRunState) {
   EXPECT_EQ(second.distinct_client_keys, 1u);
 }
 
-TEST_P(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
+TEST_F(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
   // Regression for the stale-stats footgun: stats used to be merged into
   // the host only when a session finished, so a monitor polling mid-run
   // saw zeros. Now a query is counted before its response frame is
@@ -526,7 +508,7 @@ TEST_P(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
   Database db("d", {5, 6, 7});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_live");
   ASSERT_TRUE(host.Start(path).ok());
 
@@ -555,11 +537,11 @@ TEST_P(ServiceHostTest, SnapshotStatsIsLiveWhileSessionsRun) {
   host.Stop();
 }
 
-TEST_P(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
+TEST_F(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
   Database db("d", {1, 2, 3, 4});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHostOptions options = BaseOptions();
+  ServiceHostOptions options;
   options.stats_json_path = SocketPath("svc_stats_json") + ".json";
   options.stats_interval_ms = 20;
   std::remove(options.stats_json_path.c_str());
@@ -596,15 +578,15 @@ TEST_P(ServiceHostTest, StatsJsonDumperWritesValidSnapshots) {
   std::remove(options.stats_json_path.c_str());
 }
 
-TEST_P(ServiceHostTest, PipelinedGoodbyeThenHalfCloseCountsOk) {
+TEST_F(ServiceHostTest, PipelinedGoodbyeThenHalfCloseCountsOk) {
   // A client may write its whole protocol, half-close, and only then
-  // read the replies. Both engines must serve every pipelined frame
+  // read the replies. The host must serve every pipelined frame
   // before acting on the EOF — the session ended with a clean Goodbye,
   // so it counts ok, never failed.
   Database db("d", {2, 3});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_pipeline");
   ASSERT_TRUE(host.Start(path).ok());
 
@@ -641,13 +623,13 @@ TEST_P(ServiceHostTest, PipelinedGoodbyeThenHalfCloseCountsOk) {
   EXPECT_EQ(stats.sessions_failed, 0u);
 }
 
-TEST_P(ServiceHostTest, OversizedFramePrefixFailsSessionCleanly) {
+TEST_F(ServiceHostTest, OversizedFramePrefixFailsSessionCleanly) {
   // A hostile length prefix beyond the frame limit must fail the
   // session with a typed error, not allocate 4 GiB or hang.
   Database db("d", {2, 3});
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
-  ServiceHost host(&registry, BaseOptions());
+  ServiceHost host(&registry);
   std::string path = SocketPath("svc_oversize");
   ASSERT_TRUE(host.Start(path).ok());
 

@@ -35,7 +35,8 @@ Result<BigInt> RunSession(const Database& db, const SelectionVector& sel,
     server_status = session.Serve(*server_end);
   });
   ChaCha20Rng rng(seed);
-  ClientSession client(SharedKeyPair().private_key, sel, {chunk}, rng);
+  ClientSession client(SharedKeyPair().private_key, sel,
+                       {.chunk_size = chunk}, rng);
   Result<BigInt> sum = client.Run(*client_end);
   server_thread.join();
   if (sum.ok() && !server_status.ok()) return server_status;
@@ -72,7 +73,8 @@ TEST(SessionTest, WorksOverRealSockets) {
     server_status = session.Serve(*pair.second);
   });
   ChaCha20Rng client_rng(43);
-  ClientSession client(SharedKeyPair().private_key, sel, {7}, client_rng);
+  ClientSession client(SharedKeyPair().private_key, sel, {.chunk_size = 7},
+                       client_rng);
   Result<BigInt> sum = client.Run(*pair.first);
   server_thread.join();
   ASSERT_TRUE(server_status.ok()) << server_status;

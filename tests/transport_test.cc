@@ -53,7 +53,7 @@ bool WaitFor(const std::function<bool()>& pred,
 // failed, and none is being served. A bare wait for active_sessions()
 // == 0 is not enough: a connection still in the listen backlog is not
 // counted, so that wait can pass before the session under test exists.
-// Both engines count a session's outcome before they drop it from
+// The host counts a session's outcome before it drops the session from
 // active_sessions(), so this cannot pass before the n-th session ends.
 bool WaitForSessionsResolved(const ServiceHost& host, uint64_t n,
                              milliseconds timeout) {
@@ -176,22 +176,10 @@ TEST(TransportTcpTest, ConnectChannelRejectsUnresolvableHost) {
   EXPECT_FALSE(ConnectChannel("tcp:host.invalid:1").ok());
 }
 
-// Both engines must serve the identical session protocol over TCP.
-class TransportTcpSessionTest
-    : public ::testing::TestWithParam<ServiceEngine> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, TransportTcpSessionTest,
-    ::testing::Values(ServiceEngine::kThreaded, ServiceEngine::kReactor),
-    [](const ::testing::TestParamInfo<ServiceEngine>& info) {
-      return info.param == ServiceEngine::kReactor ? "Reactor" : "Threaded";
-    });
-
-TEST_P(TransportTcpSessionTest, QueriesOverTcpLoopback) {
+TEST(TransportTcpSessionTest, QueriesOverTcpLoopback) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(Database("col", {10, 20, 30, 40})).ok());
   ServiceHostOptions options;
-  options.engine = GetParam();
   options.default_column = "col";
   options.reactor_threads = 2;
   ServiceHost host(&registry, options);
@@ -369,7 +357,6 @@ void RunBackpressureRoundTrip() {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.default_column = "col";
   options.so_sndbuf = 4096;  // force EAGAIN mid-stream
   ServiceHost host(&registry, options);
@@ -432,7 +419,6 @@ TEST(TransportBackpressureTest, CloseMidFlushDeadlineBoundsTeardown) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.default_column = "col";
   options.so_sndbuf = 4096;
   options.io_deadline_ms = 300;
@@ -465,7 +451,6 @@ TEST(TransportBackpressureTest, WriteDeadlineEvictsNeverDrainingPeer) {
   ColumnRegistry registry;
   ASSERT_TRUE(registry.Register(db).ok());
   ServiceHostOptions options;
-  options.engine = ServiceEngine::kReactor;
   options.default_column = "col";
   options.so_sndbuf = 4096;
   options.io_deadline_ms = 300;

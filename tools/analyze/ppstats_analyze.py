@@ -9,7 +9,7 @@ Run from anywhere:
 Where tools/lint/ppstats_lint.py checks single lines, this tool builds a
 whole-program model — every function definition, call site, lock scope,
 and assignment across src/ and tools/ — inlines the call graph across
-translation units, and enforces three domain invariants that no
+translation units, and enforces four domain invariants that no
 single-TU gate (clang-tidy, -Wthread-safety) can see:
 
   lock-order         Every MutexLock scope (plus PPSTATS_REQUIRES
@@ -33,6 +33,12 @@ single-TU gate (clang-tidy, -Wthread-safety) can see:
                      Work explicitly dispatched to the pool
                      (Submit/TrySubmit lambdas) escapes shard context
                      and is not traversed.
+
+  pool-self-wait     Lambdas handed to ThreadPool::Shared() must never
+                     reach a sleep, a dial or blocking channel I/O: the
+                     folds such work waits for may queue behind it.
+                     Run(n, fn) is followed as an inline call of fn;
+                     Submit/TrySubmit lambdas are a handoff.
 
   secret-taint       Taint seeds at Paillier/Damgard-Jurik private-key
                      accessors (lambda/mu/hp/hq/p/q on key-like
@@ -80,7 +86,7 @@ import pathlib
 import re
 import sys
 
-PASSES = ("lock-order", "reactor-blocking", "secret-taint")
+PASSES = ("lock-order", "reactor-blocking", "pool-self-wait", "secret-taint")
 
 SOURCE_DIRS = ("src", "tools")
 CHECKED_SUFFIXES = {".cc", ".cpp", ".h"}
@@ -128,6 +134,7 @@ class Func:
         self.assignments = []     # [(lhs_chain, rhs_idents, line)]
         self.returns = []         # [set(idents)]
         self.streams = []         # [(sink_name, idents, line)]
+        self.locals = {}          # local variable -> declared type name
         self.role = None          # None | "reactor" | "pool" | "thread"
         self.parent = None        # enclosing function qname for lambdas
 
@@ -591,7 +598,7 @@ class TextFrontend:
         """Parses tokens[start:end] as the body of `func`. Nested lambda
         literals become synthetic functions appended to the summary."""
         held = []           # [(mutex_id, depth)]
-        local_types = {}    # var -> type name
+        local_types = func.locals  # var -> type name
         depth = 0
         whole = [self._mutex_id(r, func, local_types) for r in func.requires]
         stmt = []           # flat idents/ops of the current statement
@@ -658,7 +665,8 @@ class TextFrontend:
                     # fall through: the declaration tokens still feed
                     # the statement (initializer idents matter to taint)
                 if i + 1 < end and tokens[i + 1][1] == "(" and \
-                        (i == start or tokens[i - 1][0] != "id"):
+                        (i == start or tokens[i - 1][0] != "id" or
+                         tokens[i - 1][1] in KEYWORDS):
                     held_now = tuple(whole + [h for h, _ in held])
                     nxt_i = self._scan_call(tokens, i, end, func, summary,
                                             local_types, held_now, stmt,
@@ -874,21 +882,21 @@ class TextFrontend:
 
     def _bind_var_lambdas(self, func, summary):
         """`auto task = [..]{..}; pool.Submit(task);` — map the variable
-        to the lambda and assign the role at the registration site."""
+        to the lambda, so the call hands it over like a literal argument,
+        and assign the role at the registration site."""
         bindings = {}
         for lhs, rhs_idents, _line in func.assignments:
             for ident in rhs_idents:
                 if ident.startswith("<") and "<lambda@" in ident:
-                    bindings[lhs.split(".")[0]] = ident.strip("<>")
+                    bindings[lhs.split(".")[0]] = ident[1:-1]
         if not bindings:
             return
         for call in func.calls:
             hit = [bindings[a.strip("&*")] for a in call.args
                    if a.strip("&*") in bindings]
             if hit:
-                proxy = Call(call.name, call.receiver, call.args, call.line,
-                             call.held, hit)
-                self._maybe_assign_role(proxy, summary)
+                call.lambdas = call.lambdas + hit
+                self._maybe_assign_role(call, summary)
 
     def _mutex_id(self, expr, func, local_types):
         """Resolves a lock expression to a stable identity."""
@@ -1012,8 +1020,8 @@ class Program:
 
     def resolve(self, call, caller):
         """Candidate definitions for a call site: name-based, narrowed
-        to one class when the receiver is a member field whose type the
-        field index knows."""
+        to one class when the receiver is a member field or local
+        variable whose declared type is known."""
         cands = self.by_base.get(call.name, [])
         if not cands or len(cands) == 1:
             return cands
@@ -1027,6 +1035,8 @@ class Program:
         if recv:
             base = recv.split(".")[0].split("->")[0].split("[")[0]
             recv_type = self.fields.get(caller.cls, {}).get(base)
+            if recv_type is None:
+                recv_type = caller.locals.get(base)
             if recv_type is None and base and base[0].isupper():
                 recv_type = base  # static call Class::Name(...)
             if recv_type:
@@ -1196,64 +1206,129 @@ BLOCKING_POLLS = {"poll", "ppoll", "select", "epoll_wait"}
 RAW_SYSCALLS = {"read", "write", "recv", "send", "accept", "connect"}
 
 
+def classify_wait(call):
+    """A description if this call sleeps or blocks on channel I/O, the
+    waits both reachability passes deny, else None."""
+    recv = call.receiver.lower()
+    if call.name in BLOCKING_SLEEPS:
+        return f"{call.name}() sleeps"
+    if call.name in ("Receive", "ReceiveFrame") or (
+            call.name == "Send" and
+            ("channel" in recv or "chan" in recv or "conn" in recv)):
+        return f"blocking Channel::{call.name}()"
+    return None
+
+
+def is_pool_call(call, names):
+    return call.name in names and "pool" in call.receiver.lower()
+
+
 def classify_blocking(call, func, strict):
     """A description if this call is a denylisted blocking operation in
     reactor context, else None."""
     name = call.name
-    recv = call.receiver.lower()
+    if classify_wait(call) is not None:
+        return f"{classify_wait(call)} on the event-loop thread"
     if name in BLOCKING_WAITS and func.cls != "CondVar":
         return f"condition-variable {name}() blocks the shard"
-    if name in BLOCKING_SLEEPS:
-        return f"{name}() sleeps on the event-loop thread"
     if name in BLOCKING_POLLS and func.cls not in ("Reactor", "TimerWheel"):
         return f"blocking {name}() outside the Reactor backend"
-    if name == "Run" and ("pool" in recv or "threadpool" in recv):
+    if is_pool_call(call, {"Run"}):
         return "ThreadPool::Run() is a barrier; it blocks until the " \
                "batch drains"
-    if name == "Submit" and ("pool" in recv or "threadpool" in recv):
+    if is_pool_call(call, {"Submit"}):
         return "unbounded ThreadPool::Submit() from a shard (use " \
                "TrySubmit with a depth bound for backpressure)"
-    if name in ("Receive", "ReceiveFrame"):
-        return "blocking Channel::Receive() on the event-loop thread"
-    if name == "Send" and ("channel" in recv or "chan" in recv or
-                           "conn" in recv):
-        return "blocking Channel::Send() on the event-loop thread"
     if strict and name in RAW_SYSCALLS and call.receiver == "":
         return f"raw ::{name}() syscall in reactor context (verify the " \
                "fd is non-blocking)"
     return None
 
 
-def pass_reactor_blocking(program, strict=False):
-    findings = []
-    roots = [f for f in program.functions.values() if f.role == "reactor"]
-    for root in roots:
-        stack = [(root, (root.qname,))]
-        visited = {root.qname}
-        while stack:
-            func, path = stack.pop()
-            for call in func.calls:
-                desc = classify_blocking(call, func, strict)
-                if desc is not None:
-                    findings.append(Finding(
-                        "reactor-blocking", func.file, call.line,
-                        f"{desc} — reachable from reactor callback "
-                        f"registered at {root.file}:{root.line}",
-                        [" -> ".join(path + (call.name + "()",))]))
-                for callee in program.resolve(call, func):
-                    if callee.role in ("pool", "thread"):
-                        continue  # explicitly dispatched off the shard
-                    if "<lambda@" in callee.qname and \
-                            callee.role != "reactor":
-                        continue  # runs wherever it was registered
-                    if callee.qname not in visited:
-                        visited.add(callee.qname)
-                        stack.append((callee, path + (callee.qname,)))
+def reachable_calls(program, root, callees):
+    """Yields (func, call, path) for every call site reachable from
+    `root`, entering each function once through callees(call, func)."""
+    stack = [(root, (root.qname,))]
+    visited = {root.qname}
+    while stack:
+        func, path = stack.pop()
+        for call in func.calls:
+            yield func, call, path
+            for callee in callees(call, func):
+                if callee.qname not in visited:
+                    visited.add(callee.qname)
+                    stack.append((callee, path + (callee.qname,)))
+
+
+def reach_findings(pass_name, what, program, roots, callees, classify):
+    """One finding per distinct (site, description) that `classify`
+    flags among the calls reachable from each (root, registration line);
+    `what` names the roots in the message."""
     unique = {}
-    for f in findings:
-        key = (f.file, f.line, f.message.split(" — reachable")[0])
-        unique.setdefault(key, f)
+    for root, site_line in roots:
+        for func, call, path in reachable_calls(program, root, callees):
+            desc = classify(call, func)
+            if desc is not None:
+                unique.setdefault((func.file, call.line, desc), Finding(
+                    pass_name, func.file, call.line,
+                    f"{desc} — reachable from {what} registered at "
+                    f"{root.file}:{site_line}",
+                    [" -> ".join(path + (call.name + "()",))]))
     return list(unique.values())
+
+
+def pass_reactor_blocking(program, strict=False):
+    def callees(call, func):
+        return [c for c in program.resolve(call, func)
+                # Dispatched off the shard, or run wherever registered.
+                if c.role not in ("pool", "thread") and
+                ("<lambda@" not in c.qname or c.role == "reactor")]
+
+    roots = [(f, f.line) for f in program.functions.values()
+             if f.role == "reactor"]
+    return reach_findings(
+        "reactor-blocking", "reactor callback", program, roots, callees,
+        lambda call, func: classify_blocking(call, func, strict))
+
+
+# ---------------------------------------------------------------------------
+# Pass: pool-self-wait.
+# ---------------------------------------------------------------------------
+
+POOL_REGISTRARS = {"Submit", "TrySubmit", "Run"}
+DIAL_CALLS = {"ConnectChannel", "ConnectEndpoint", "ConnectUnixSocket",
+              "UriDialer", "dial"}
+
+
+def classify_pool_wait(call, _func):
+    """A description if this call waits on another server, else None."""
+    wait = classify_wait(call) or (
+        f"{call.name}() dials" if call.name in DIAL_CALLS else None)
+    return wait and f"{wait} on a ThreadPool::Shared() worker"
+
+
+def pass_pool_self_wait(program):
+    """Work on ThreadPool::Shared() must never wait on other servers:
+    the shard folds it would wait for may queue behind it on the same
+    workers. Roots are lambdas handed to ThreadPool::Shared(); Run(n, fn)
+    is followed as an inline call of fn (the caller executes indices),
+    while Submit/TrySubmit lambdas are a handoff and are not."""
+    def callees(call, func):
+        if is_pool_call(call, {"Run"}):
+            return [program.functions[q] for q in call.lambdas
+                    if q in program.functions]
+        if is_pool_call(call, POOL_REGISTRARS):
+            return []
+        return [c for c in program.resolve(call, func)
+                if "<lambda@" not in c.qname]
+
+    roots = [(program.functions[q], call.line)
+             for func in program.functions.values() for call in func.calls
+             if call.name in POOL_REGISTRARS and
+             "shared" in call.receiver.lower()
+             for q in call.lambdas if q in program.functions]
+    return reach_findings("pool-self-wait", "a Shared() task", program, roots,
+                          callees, classify_pool_wait)
 
 
 # ---------------------------------------------------------------------------
@@ -1512,6 +1587,8 @@ def run_passes(summaries, selected, whitelist, strict):
         findings.extend(pass_lock_order(program, whitelist))
     if "reactor-blocking" in selected:
         findings.extend(pass_reactor_blocking(program, strict))
+    if "pool-self-wait" in selected:
+        findings.extend(pass_pool_self_wait(program))
     if "secret-taint" in selected:
         findings.extend(pass_secret_taint(program))
     findings = filter_suppressed(findings, program)
@@ -1549,6 +1626,15 @@ def self_test():
           f"{len(findings)} finding(s)")
     check("reactor-blocking spares pool-dispatched work",
           not any("PoolSideFold" in " ".join(f.trace) for f in findings))
+
+    findings, _ = run_on(["pool_self_wait.cc"], {"pool-self-wait"})
+    traces = "\n".join(" ".join(f.trace) for f in findings)
+    check("pool-self-wait detects a fan-out run inline",
+          all(f"BlockingLeg -> {w}()" in traces
+              for w in ("sleep_for", "ConnectChannel", "Send", "Receive")),
+          f"{len(findings)} finding(s)")
+    check("pool-self-wait spares legs handed to another pool",
+          "HandedOffLeg" not in traces)
 
     findings, _ = run_on(["secret_leak.cc"], {"secret-taint"})
     check("secret-taint detects key-to-log leak",
@@ -1593,8 +1679,8 @@ def self_test():
 def main():
     parser = argparse.ArgumentParser(
         prog="ppstats_analyze",
-        description="cross-TU lock-order / reactor-blocking / "
-                    "secret-taint analyzer (see module docstring)")
+        description=f"cross-TU {' / '.join(PASSES)} analyzer (see module "
+                    "docstring)")
     parser.add_argument("--root", default=None,
                         help="repo root (default: two levels above this "
                              "file)")

@@ -11,7 +11,6 @@
 //                       [--blind-seed <hex>] [--blind-mod-bits <b>]
 //                       [--chunk <c>] [--max-sessions <n>]
 //                       [--io-deadline-ms <ms>]
-//                       [--engine threaded|reactor]
 //                       [--reactor-threads <n>]
 //                       [--stats-json <path>] [--stats-interval-ms <ms>]
 //
@@ -65,7 +64,7 @@ int Usage() {
       "[--connect-deadline-ms <ms>] [--partial fail|partial] "
       "[--blind-seed <hex>] [--blind-mod-bits <b>] [--chunk <c>] "
       "[--max-sessions <n>] [--io-deadline-ms <ms>] "
-      "[--engine threaded|reactor] [--reactor-threads <n>] "
+      "[--reactor-threads <n>] "
       "[--stats-json <path>] [--stats-interval-ms <ms>]\n");
   return 2;
 }
@@ -163,15 +162,6 @@ int main(int argc, char** argv) {
     } else if (FlagValue("--io-deadline-ms", argc, argv, &i, &flag_value)) {
       host_options.io_deadline_ms =
           static_cast<uint32_t>(std::strtoul(flag_value.c_str(), nullptr, 10));
-    } else if (FlagValue("--engine", argc, argv, &i, &flag_value)) {
-      if (flag_value == "threaded") {
-        host_options.engine = ServiceEngine::kThreaded;
-      } else if (flag_value == "reactor") {
-        host_options.engine = ServiceEngine::kReactor;
-      } else {
-        std::fprintf(stderr, "unknown engine: %s\n", flag_value.c_str());
-        return Usage();
-      }
     } else if (FlagValue("--reactor-threads", argc, argv, &i, &flag_value)) {
       host_options.reactor_threads =
           static_cast<size_t>(std::strtoull(flag_value.c_str(), nullptr, 10));

@@ -6,8 +6,7 @@
 //                  [--max-sessions <n>] [--io-deadline-ms <ms>]
 //                  [--backlog <n>] [--stats-json <path>]
 //                  [--stats-interval-ms <ms>]
-//                  [--engine threaded|reactor] [--reactor-threads <n>]
-//                  [--max-events <n>]
+//                  [--reactor-threads <n>] [--max-events <n>]
 //                  [--shard-blind <index>:<count>:<seed-hex>[:<mod-bits>]]
 //
 // --listen takes an endpoint URI: "unix:/path", "tcp:host:port" (port 0
@@ -26,19 +25,15 @@
 //
 // Each --db registers one named column (the name defaults to the file
 // path); v2 clients address columns by name and may run several queries
-// per connection. Concurrent clients are each served on their own
-// session thread (core/service_host.h). --max-sessions caps concurrent
-// clients (extras get a retryable Error frame), --io-deadline-ms evicts
-// clients that stall mid-protocol, --backlog sets the kernel listen
-// queue. With --once the server handles exactly one session serially
+// per connection. Concurrent clients are served on an epoll event loop
+// (core/service_host.h): --reactor-threads sets the number of
+// event-loop shards (each with its own listener; TCP shards share the
+// port via SO_REUSEPORT) and --max-events the epoll_wait batch size per
+// wakeup. --max-sessions caps concurrent clients (extras get a
+// retryable Error frame), --io-deadline-ms evicts clients that stall
+// mid-protocol, --backlog sets the kernel listen queue. With --once the
+// server handles exactly one session serially on a blocking channel
 // and exits (useful for scripted tests).
-//
-// The default --engine reactor serves sessions on an epoll event loop:
-// --reactor-threads sets the number of event-loop shards (each with its
-// own listener; TCP shards share the port via SO_REUSEPORT) and
-// --max-events the epoll_wait batch size per wakeup. --engine threaded
-// selects thread-per-session instead; protocol behavior (framing,
-// deadlines, capacity rejection) is identical under both.
 //
 // --stats-json writes the server's metrics (session/query counters,
 // channel byte counts, span histograms — see docs/OBSERVABILITY.md) to
@@ -78,8 +73,7 @@ int Usage() {
                "[--once] [--max-sessions <n>] [--io-deadline-ms <ms>] "
                "[--backlog <n>] [--stats-json <path>] "
                "[--stats-interval-ms <ms>] "
-               "[--engine threaded|reactor] [--reactor-threads <n>] "
-               "[--max-events <n>] "
+               "[--reactor-threads <n>] [--max-events <n>] "
                "[--shard-blind <index>:<count>:<seed-hex>[:<mod-bits>]]\n");
   return 2;
 }
@@ -145,21 +139,11 @@ int main(int argc, char** argv) {
   std::string stats_json_path;
   uint32_t stats_interval_ms = 0;
   std::optional<ShardBlindConfig> shard_blind;
-  ServiceEngine engine = ServiceEngine::kReactor;
   size_t reactor_threads = 1;
   size_t max_events = 64;
   std::string flag_value;
   for (int i = 1; i < argc; ++i) {
-    if (FlagValue("--engine", argc, argv, &i, &flag_value)) {
-      if (flag_value == "threaded") {
-        engine = ServiceEngine::kThreaded;
-      } else if (flag_value == "reactor") {
-        engine = ServiceEngine::kReactor;
-      } else {
-        std::fprintf(stderr, "unknown engine: %s\n", flag_value.c_str());
-        return Usage();
-      }
-    } else if (FlagValue("--reactor-threads", argc, argv, &i, &flag_value)) {
+    if (FlagValue("--reactor-threads", argc, argv, &i, &flag_value)) {
       reactor_threads =
           static_cast<size_t>(std::strtoull(flag_value.c_str(), nullptr, 10));
     } else if (FlagValue("--max-events", argc, argv, &i, &flag_value)) {
@@ -294,7 +278,6 @@ int main(int argc, char** argv) {
   options.accept_backlog = backlog;
   options.stats_json_path = stats_json_path;
   options.stats_interval_ms = stats_interval_ms;
-  options.engine = engine;
   options.reactor_threads = reactor_threads;
   options.max_events = max_events;
   options.shard_blind = shard_blind;
